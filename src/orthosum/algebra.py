@@ -5,20 +5,24 @@ normalized trace on the coefficient factor and the plain (un-normalized) trace
 on the matrix-unit factor; this is the convention under which the converse of
 the iteration inequality holds with constant 1.
 
-Even-p norms of group-algebra elements are computed by formal word expansion
-of (x* x)^(p/2), which is exact up to float rounding.  Terms are accumulated
-in lexicographic word order so results are reproducible run to run, and
-coefficients that cancel to exactly zero are pruned after every step.
+Even-p norms of group-algebra elements read the identity coefficient of
+(x* x)^(p/2), exact up to float rounding, by pairing the half powers
+A = (x* x)^floor(p/4) and B = (x* x)^ceil(p/4) as the sum of A_w B_(w^-1).
+Terms and the pairing are accumulated in lexicographic word order so results
+are reproducible run to run, and coefficients that cancel to exactly zero are
+pruned after every product.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, KindError, check_budget
+from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p
 from .freegroup import Word, WordTuple, format_word, gamma_indices, parse_word
 
 #: A tracial matrix is a square complex ndarray with trace functional Tr/N.
@@ -41,18 +45,21 @@ def ntrace(x) -> complex:
     return complex(np.trace(arr) / arr.shape[0])
 
 
-def _check_even(p: int) -> None:
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
+def _even_root(trace: complex, normalizer: int, p: int) -> float:
+    """(Re trace / normalizer)^(1/p), with rounding below zero clamped to zero."""
+    return float(max(trace.real / normalizer, 0.0) ** (1.0 / p))
+
+
+def _matrix_gram_power(x: np.ndarray, p: int) -> np.ndarray:
+    """(x* x)^(p/2) for a (possibly rectangular) matrix x at even p."""
+    check_even_p(p)
+    return np.linalg.matrix_power(x.conj().T @ x, p // 2)
 
 
 def schatten_even_norm(x, p: int) -> float:
     """(ntrace((x* x)^(p/2)))^(1/p), the L_p norm under Tr/N at even p."""
-    _check_even(p)
     arr = as_tracial_matrix(x)
-    gram = arr.conj().T @ arr
-    val = np.trace(np.linalg.matrix_power(gram, p // 2)).real / arr.shape[0]
-    return float(max(val, 0.0) ** (1.0 / p))
+    return _even_root(np.trace(_matrix_gram_power(arr, p)), arr.shape[0], p)
 
 
 @dataclass(frozen=True, order=True)
@@ -90,14 +97,6 @@ def all_splits(d: int) -> list[SplitPair]:
     return out
 
 
-def _projection_index(gamma: tuple[int, ...], coords: tuple[int, ...], n: int) -> int:
-    """Position of the sub-index (gamma_k)_{k in coords} in lexicographic order."""
-    idx = 0
-    for k in coords:
-        idx = idx * n + (gamma[k - 1] - 1)
-    return idx
-
-
 @dataclass(frozen=True)
 class Flattening:
     """Block matrix with the family member at block (pi_alpha, pi_beta).
@@ -112,10 +111,7 @@ class Flattening:
 
 def vv_norm(X: Flattening, p: int) -> float:
     """Vector-valued even-p norm: normalized trace on the coefficient factor only."""
-    _check_even(p)
-    gram = X.matrix.conj().T @ X.matrix
-    val = np.trace(np.linalg.matrix_power(gram, p // 2)).real / X.coeff_dim
-    return float(max(val, 0.0) ** (1.0 / p))
+    return _even_root(np.trace(_matrix_gram_power(X.matrix, p)), X.coeff_dim, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,24 +260,33 @@ def ga_trace(x: GroupAlgebraElement) -> complex:
 def _gram_power_identity_coeff(
     x: GroupAlgebraElement, p: int, budget: int
 ) -> np.ndarray:
-    """Coefficient at the identity of (x* x)^(p/2), by formal expansion."""
-    _check_even(p)
+    """Coefficient at the identity of (x* x)^(p/2), by half-power pairing.
+
+    With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), the
+    coefficient is the sum of A_w B_(w^-1) over the words w of A in sorted
+    order; for k = 1 it is read off x* x directly.
+    """
+    check_even_p(p)
     check_budget(max(x.term_count, 1) ** p, budget, "even-norm word expansion")
     gram = ga_multiply(ga_adjoint(x), x)
-    power = gram
-    for _ in range(p // 2 - 1):
-        power = ga_multiply(power, gram)
-    coeff = power.terms.get(WordTuple.identity(x.arity))
-    if coeff is None:
-        return np.zeros((x.coeff_shape[1], x.coeff_shape[1]), dtype=complex)
-    return coeff
+    k = p // 2
+    if k == 1:
+        return gram.coefficient(WordTuple.identity(x.arity))
+    half = gram
+    for _ in range(k // 2 - 1):
+        half = ga_multiply(half, gram)
+    other = ga_multiply(half, gram) if k % 2 else half
+    acc = np.zeros(gram.coeff_shape, dtype=complex)
+    for w, a in half.sorted_terms():
+        b = other.terms.get(w.inverse())
+        if b is not None:
+            acc += a @ b
+    return acc
 
 
 def ga_even_norm(x: GroupAlgebraElement, p: int, budget: int = DEFAULT_BUDGET) -> float:
-    """Exact L_p norm at even p under the normalized trace, via word cancellation."""
-    coeff = _gram_power_identity_coeff(x, p, budget)
-    val = np.trace(coeff).real / coeff.shape[0]
-    return float(max(val, 0.0) ** (1.0 / p))
+    """Exact L_p norm at even p under the normalized trace: ga_vv_norm at coeff_dim."""
+    return _even_root(np.trace(_gram_power_identity_coeff(x, p, budget)), x.coeff_dim, p)
 
 
 def ga_vv_norm(
@@ -292,9 +297,7 @@ def ga_vv_norm(
     The trace is normalized by ``coeff_dim`` only, leaving the matrix-unit
     factor un-normalized; used on flattened families.
     """
-    coeff = _gram_power_identity_coeff(x, p, budget)
-    val = np.trace(coeff).real / coeff_dim
-    return float(max(val, 0.0) ** (1.0 / p))
+    return _even_root(np.trace(_gram_power_identity_coeff(x, p, budget)), coeff_dim, p)
 
 
 def generator_sum(
@@ -340,6 +343,10 @@ class OperatorFamily:
             keys = {(v.arity, v.n, v.coeff_shape) for v in self.values.values()}
             if len(keys) != 1:
                 raise ValueError(f"non-uniform group-algebra parameters: {keys}")
+        for g, v in self.values.items():
+            coeffs = (v,) if self.kind == MATRIX else v.terms.values()
+            if not all(np.isfinite(c).all() for c in coeffs):
+                raise ValueError(f"non-finite coefficient at index {g}")
 
     def gammas(self) -> list[tuple[int, ...]]:
         return gamma_indices(self.n, self.d)
@@ -353,44 +360,55 @@ class OperatorFamily:
 
     def sum_value(self):
         """Sum of the family members (matrix or group-algebra element)."""
-        if self.kind == MATRIX:
-            return sum(self.values[g] for g in self.gammas())
-        acc = None
-        for g in self.gammas():
-            acc = self.values[g] if acc is None else acc + self.values[g]
-        return acc
+        return functools.reduce(operator.add, (self.values[g] for g in self.gammas()))
+
+
+def _even_norm(v, p: int, budget: int) -> float:
+    """Even-p norm of one family member, a matrix or a group-algebra element."""
+    if isinstance(v, GroupAlgebraElement):
+        return ga_even_norm(v, p, budget)
+    return schatten_even_norm(v, p)
 
 
 def family_sum_norm(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> float:
     """Even-p norm of the sum of the family."""
-    if f.kind == MATRIX:
-        return schatten_even_norm(f.sum_value(), p)
-    return ga_even_norm(f.sum_value(), p, budget)
+    return _even_norm(f.sum_value(), p, budget)
 
 
 def family_scale(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> float:
     """1 + sum of member norms to the p-th power; the tolerance yardstick."""
-    if f.kind == MATRIX:
-        total = sum(schatten_even_norm(v, p) ** p for v in f.values.values())
-    else:
-        total = sum(ga_even_norm(v, p, budget) ** p for v in f.values.values())
-    return 1.0 + total
+    return 1.0 + sum(_even_norm(v, p, budget) ** p for v in f.values.values())
+
+
+def _flatten_blocks(f: OperatorFamily, split: SplitPair):
+    """Shape of the flattening along ``split`` and gamma -> its block's slices.
+
+    The block of gamma sits at row block pi_alpha(gamma) and column block
+    pi_beta(gamma), the lexicographic positions of its sub-indices.
+    """
+    if split.d != f.d:
+        raise ValueError(f"split of 1..{split.d} against a {f.d}-indexed family")
+    n, dim = f.n, f.coeff_dim
+
+    def span(gamma: tuple[int, ...], coords: tuple[int, ...]) -> slice:
+        idx = 0
+        for k in coords:
+            idx = idx * n + (gamma[k - 1] - 1)
+        return slice(idx * dim, (idx + 1) * dim)
+
+    shape = (n ** len(split.alpha) * dim, n ** len(split.beta) * dim)
+    return shape, {g: (span(g, split.alpha), span(g, split.beta)) for g in f.gammas()}
 
 
 def flatten(f: OperatorFamily, split: SplitPair) -> Flattening:
     """Block matrix of a matrix-valued family along a coordinate split."""
     if f.kind != MATRIX:
         raise KindError("flatten expects a matrix-valued family")
-    if split.d != f.d:
-        raise ValueError(f"split of 1..{split.d} against a {f.d}-indexed family")
-    n, dim = f.n, f.coeff_dim
-    rows, cols = n ** len(split.alpha), n ** len(split.beta)
-    out = np.zeros((rows * dim, cols * dim), dtype=complex)
-    for gamma in f.gammas():
-        u = _projection_index(gamma, split.alpha, n)
-        v = _projection_index(gamma, split.beta, n)
-        out[u * dim : (u + 1) * dim, v * dim : (v + 1) * dim] = f.values[gamma]
-    return Flattening(matrix=out, coeff_dim=dim, split=split)
+    shape, blocks = _flatten_blocks(f, split)
+    out = np.zeros(shape, dtype=complex)
+    for gamma, block in blocks.items():
+        out[block] = f.values[gamma]
+    return Flattening(matrix=out, coeff_dim=f.coeff_dim, split=split)
 
 
 def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
@@ -402,22 +420,14 @@ def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
     """
     if f.kind != GROUP_ALGEBRA:
         raise KindError("ga_flatten expects a group-algebra-valued family")
-    if split.d != f.d:
-        raise ValueError(f"split of 1..{split.d} against a {f.d}-indexed family")
-    n, dim = f.n, f.coeff_dim
-    rows, cols = n ** len(split.alpha), n ** len(split.beta)
-    probe = next(iter(f.values.values()))
-    shape = (rows * dim, cols * dim)
+    shape, blocks = _flatten_blocks(f, split)
     acc: dict[WordTuple, np.ndarray] = {}
-    for gamma in f.gammas():
-        u = _projection_index(gamma, split.alpha, n)
-        v = _projection_index(gamma, split.beta, n)
+    for gamma, block in blocks.items():
         for wt, coeff in f.values[gamma].sorted_terms():
-            block = acc.get(wt)
-            if block is None:
-                block = np.zeros(shape, dtype=complex)
-                acc[wt] = block
-            block[u * dim : (u + 1) * dim, v * dim : (v + 1) * dim] += coeff
+            if wt not in acc:
+                acc[wt] = np.zeros(shape, dtype=complex)
+            acc[wt][block] += coeff
+    probe = next(iter(f.values.values()))
     return GroupAlgebraElement.build(probe.arity, probe.n, shape, acc)
 
 

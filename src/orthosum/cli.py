@@ -67,8 +67,9 @@ def _flatten_for_csv(prefix: str, value: Any, rows: list[tuple[str, str, str]]) 
 
 
 def _render(report: dict, fmt: str) -> str:
+    """JSON or CSV text; a non-finite number raises ValueError (no bare NaN)."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
     rows: list[tuple[str, str, str]] = []
     rows.append(("meta", "command", report["command"]))
     rows.append(("meta", "seed", "" if report["seed"] is None else str(report["seed"])))
@@ -183,9 +184,8 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
     all_holder = True
     max_bd_rel = 0.0
     for sig in tuples:
-        check = factorization.factorization_check(fam, sig, spec.p, args.budget, table)
-        max_err = max(max_err, check.abs_err)
         norms = factorization.factor_norm_report(fam, sig, spec.p, args.budget, table)
+        max_err = max(max_err, norms.check.abs_err)
         all_holder = all_holder and norms.holder_ok
         max_bd_rel = max(max_bd_rel, norms.bd_max_rel_err)
     results = {
@@ -222,8 +222,7 @@ def _cmd_inequality(args) -> tuple[dict, list[dict], int | None]:
         "ratio": report.ratio,
         "pisier_ok": report.pisier_ok,
     }
-    scale = family_scale(fam, spec.p, args.budget)
-    tol = 1e-9 * scale
+    tol = report.tol
     assertions = [
         _assertion("p_orthogonal_precondition", True),
         _assertion("iteration_upper", q.B <= 2**fam.d * q.C + tol),
@@ -332,20 +331,20 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         results, assertions, seed = _HANDLERS[args.command](args)
+        report = {
+            "command": args.command,
+            "params": _jsonable(params),
+            "seed": seed,
+            "results": _jsonable(results),
+            "assertions": assertions,
+        }
+        text = _render(report, args.format)
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": args.command,
-        "params": _jsonable(params),
-        "seed": seed,
-        "results": _jsonable(results),
-        "assertions": assertions,
-    }
-    text = _render(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -35,6 +35,12 @@ class ConstructionError(ValueError):
         self.witness = witness
 
 
+def check_even_p(p: int) -> None:
+    """Raise ValueError unless p is an even integer >= 2."""
+    if p < 2 or p % 2:
+        raise ValueError(f"p must be an even integer >= 2, got {p}")
+
+
 def check_budget(count: int, budget: int, what: str) -> None:
     """Raise SizeLimitError when an enumeration of ``count`` items exceeds ``budget``."""
     if count > budget:

@@ -30,6 +30,18 @@ from .orthogonality import MomentTable, psi
 from .partitions import SetPartition
 
 
+def _place_telescope(words: list[Word], base: int, r: int, m: int, i: int) -> None:
+    """Write the rank-r word of a size-m block into the m-1 factors from ``base``.
+
+    Rank r carries g_i in factor r-1 (unless r = 1) and g_i^-1 in factor r
+    (unless r = m), counting factors of the block from 1.
+    """
+    if r > 1:
+        words[base + r - 2] = Word(((i, 1),))
+    if r < m:
+        words[base + r - 1] = Word(((i, -1),))
+
+
 def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
     """The telescoping family xi_1..xi_m over F_n^(m-1), each a function of i.
 
@@ -46,13 +58,7 @@ def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
     def make(r: int) -> Callable[[int], GroupAlgebraElement]:
         def xi(i: int) -> GroupAlgebraElement:
             words = [Word()] * (m - 1)
-            if r == 1:
-                words[0] = Word(((i, -1),))
-            elif r == m:
-                words[m - 2] = Word(((i, 1),))
-            else:
-                words[r - 2] = Word(((i, 1),))
-                words[r - 1] = Word(((i, -1),))
+            _place_telescope(words, 0, r, m, i)
             return GroupAlgebraElement.monomial(
                 m - 1, n, WordTuple(tuple(words)), np.eye(1)
             )
@@ -171,18 +177,9 @@ def build_factors(
             for k in range(f.d):
                 j = anatomy.block_index[k][s - 1]
                 block_size = len(anatomy.sigmas[k].blocks[j])
-                if block_size == 1:
-                    continue
-                base = offsets[(k, j)]
-                r = anatomy.block_rank[k][s - 1]
-                i = gamma[k]
-                if r == 1:
-                    letters[base] = Word(((i, -1),))
-                elif r == block_size:
-                    letters[base + block_size - 2] = Word(((i, 1),))
-                else:
-                    letters[base + r - 2] = Word(((i, 1),))
-                    letters[base + r - 1] = Word(((i, -1),))
+                if block_size > 1:
+                    r = anatomy.block_rank[k][s - 1]
+                    _place_telescope(letters, offsets[(k, j)], r, block_size, gamma[k])
             wt = WordTuple(tuple(letters))
             coeff = f.values[gamma].conj().T if s % 2 else f.values[gamma]
             terms[wt] = terms[wt] + coeff if wt in terms else coeff
@@ -199,16 +196,9 @@ class FactorizationReport:
     abs_err: float
 
 
-def factorization_check(
-    f: OperatorFamily,
-    sigmas: Sequence[SetPartition],
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    table: MomentTable | None = None,
+def _factorization_report(
+    psi_direct: complex, factors: Sequence[GroupAlgebraElement]
 ) -> FactorizationReport:
-    """Dominated moment sum versus the trace of the ordered factor product."""
-    psi_direct = psi(f, sigmas, p, budget, table)
-    factors = build_factors(f, sigmas, p)
     acc = factors[0]
     for factor in factors[1:]:
         acc = ga_multiply(acc, factor)
@@ -218,6 +208,18 @@ def factorization_check(
         psi_factored=psi_factored,
         abs_err=abs(psi_direct - psi_factored),
     )
+
+
+def factorization_check(
+    f: OperatorFamily,
+    sigmas: Sequence[SetPartition],
+    p: int,
+    budget: int = DEFAULT_BUDGET,
+    table: MomentTable | None = None,
+) -> FactorizationReport:
+    """Dominated moment sum versus the trace of the ordered factor product."""
+    psi_direct = psi(f, sigmas, p, budget, table)
+    return _factorization_report(psi_direct, build_factors(f, sigmas, p))
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,8 @@ class FactorNormReport:
     norms_product: float
     psi_abs: float
     holder_ok: bool
+    #: the factorization identity, checked on the same factors
+    check: FactorizationReport
 
 
 def factor_norm_report(
@@ -248,11 +252,12 @@ def factor_norm_report(
 
     Factors at common-singleton positions must match the norm of the family
     sum exactly; the product of all factor norms must dominate the absolute
-    value of the factored sum.
+    value of the factored sum.  The factors are built once, and the report
+    carries the :func:`factorization_check` of the same factors.
     """
     anatomy = BlockAnatomy.from_sigmas(sigmas)
     factors = build_factors(f, sigmas, p)
-    check = factorization_check(f, sigmas, p, budget, table)
+    check = _factorization_report(psi(f, sigmas, p, budget, table), factors)
     records = []
     norms_product = 1.0
     for s, factor in enumerate(factors, start=1):
@@ -273,4 +278,5 @@ def factor_norm_report(
         norms_product=norms_product,
         psi_abs=psi_abs,
         holder_ok=holder_ok,
+        check=check,
     )

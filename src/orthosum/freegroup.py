@@ -9,9 +9,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 
 _WORD_LETTER = re.compile(r"^([gG])(\d+)$")
 
@@ -142,6 +142,21 @@ def gamma_indices(n: int, d: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n + 1), repeat=d))
 
 
+def _index_functions(
+    n: int, d: int, p: int, budget: int, what: str
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All h: [p] -> [n]^d in lexicographic order; p and the budget are checked first."""
+    check_even_p(p)
+    check_budget(n ** (d * p), budget, what)
+    return product(gamma_indices(n, d), repeat=p)
+
+
+def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
+    """True iff some coordinate k has pairwise distinct values along h."""
+    p = len(h)
+    return any(len({gamma[k] for gamma in h}) == p for k in range(d))
+
+
 @dataclass
 class WordFamily:
     """Words of a single free group indexed by the grid [n]^d.
@@ -176,11 +191,6 @@ class DissociateReport:
     witness: tuple[tuple[int, ...], ...] | None = None
 
 
-def _has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
-    p = len(h)
-    return any(len({gamma[k] for gamma in h}) == p for k in range(d))
-
-
 def is_p_dissociate(
     family: WordFamily, p: int, budget: int = DEFAULT_BUDGET
 ) -> DissociateReport:
@@ -190,12 +200,8 @@ def is_p_dissociate(
     product t(h1)^-1 t(h2) t(h3)^-1 ... t(hp) must differ from the identity.
     On failure the witness is one violating h.
     """
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    check_budget(family.n ** (family.d * p), budget, "dissociate enumeration")
-    gammas = gamma_indices(family.n, family.d)
-    for h in product(gammas, repeat=p):
-        if not _has_injective_projection(h, family.d):
+    for h in _index_functions(family.n, family.d, p, budget, "dissociate enumeration"):
+        if not has_injective_projection(h, family.d):
             continue
         acc = Word()
         for s, gamma in enumerate(h, start=1):

@@ -42,6 +42,7 @@ from .errors import (
     ConstructionError,
     NotPOrthogonalError,
     check_budget,
+    check_even_p,
 )
 from .freegroup import (
     Word,
@@ -118,8 +119,7 @@ class FamilySpec:
             return
         if self.n < 1 or self.d < 1 or self.dim < 1:
             raise ValueError("n, d and dim must be positive")
-        if self.p < 2 or self.p % 2:
-            raise ValueError(f"p must be an even integer >= 2, got {self.p}")
+        check_even_p(self.p)
 
     def to_json(self) -> dict:
         out = {
@@ -136,6 +136,8 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FamilySpec":
+        if not isinstance(obj, Mapping) or "kind" not in obj:
+            raise ValueError("family spec must be a JSON object with a 'kind'")
         return cls(
             kind=obj["kind"],
             n=int(obj.get("n", 1)),
@@ -290,19 +292,20 @@ def max_flattening_norm(
     return max(flattening_norm(f, split, p, budget) for split in splits)
 
 
-def compute_quantities(
-    f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET
-) -> Quantities:
-    """A, B, C and D for a family, with the 2^d sandwich verified on the side.
-
-    D uses the unit constant in place of the unspecified dimensional one, so
-    it is a reported quantity only.
-    """
-    A = float(family_sum_norm(f, p, budget))
+def _iteration_sandwich(
+    f: OperatorFamily, p: int, budget: int, tol: float
+) -> tuple[float, float, bool, bool]:
+    """B (for matrices, the generator-sum norm), C, and C <= B, B <= 2^d C at tol."""
     B = float(ga_even_norm(_lambda_tensor_element(f), p, budget))
     C = float(max_flattening_norm(f, p, budget))
-    tol = 1e-9 * family_scale(f, p, budget)
-    if B > (2**f.d) * C + tol or C > B + tol:
+    return B, C, C <= B + tol, B <= (2**f.d) * C + tol
+
+
+def _quantities(f: OperatorFamily, p: int, budget: int, tol: float) -> Quantities:
+    """:func:`compute_quantities` with the sandwich checked at ``tol``."""
+    A = float(family_sum_norm(f, p, budget))
+    B, C, lower_ok, upper_ok = _iteration_sandwich(f, p, budget, tol)
+    if not (lower_ok and upper_ok):
         raise RuntimeError(
             f"iteration sandwich violated: C={C}, B={B}, 2^d C={(2 ** f.d) * C}"
         )
@@ -313,11 +316,24 @@ def compute_quantities(
     return Quantities(A=A, B=B, C=C, D=D, p=p, n=f.n, d=f.d)
 
 
+def compute_quantities(
+    f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET
+) -> Quantities:
+    """A, B, C and D for a family, with the 2^d sandwich verified on the side.
+
+    The sandwich tolerance is 1e-9 * family scale.  D uses the unit constant
+    in place of the unspecified dimensional one, so it is a reported quantity
+    only.
+    """
+    return _quantities(f, p, budget, 1e-9 * family_scale(f, p, budget))
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     ratio: float
     pisier_ok: bool | None
     quantities: Quantities
+    tol: float  # 1e-9 * family scale
 
 
 def main_inequality_report(
@@ -328,8 +344,7 @@ def main_inequality_report(
     Requires the family to be p-orthogonal at tolerance 1e-9 * scale; for one
     index the (3pi/2)p bound is additionally checked.
     """
-    scale = family_scale(f, p, budget)
-    tol = 1e-9 * scale
+    tol = 1e-9 * family_scale(f, p, budget)
     report = is_p_orthogonal(f, p, tol, budget)
     if report.max_abs_violation > tol:
         raise NotPOrthogonalError(
@@ -337,7 +352,7 @@ def main_inequality_report(
             f"(max violation {report.max_abs_violation:.3e} > {tol:.3e})",
             report,
         )
-    q = compute_quantities(f, p, budget)
+    q = _quantities(f, p, budget, tol)
     denom = p ** (f.d * (f.d + 1) // 2) * q.C
     if denom == 0.0:
         ratio = 0.0 if q.A == 0.0 else math.inf
@@ -346,7 +361,7 @@ def main_inequality_report(
     pisier_ok = None
     if f.d == 1:
         pisier_ok = bool(q.A <= ONE_INDEX_CONSTANT * p * q.C + tol)
-    return InequalityReport(ratio=ratio, pisier_ok=pisier_ok, quantities=q)
+    return InequalityReport(ratio=ratio, pisier_ok=pisier_ok, quantities=q, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -364,16 +379,16 @@ def khintchine_iteration_check(
     p: int,
     budget: int = DEFAULT_BUDGET,
 ) -> KhintchineReport:
-    """Sandwich C <= |S_d(a)|_p <= 2^d C for the generator sum of a."""
+    """Sandwich C <= |S_d(a)|_p <= 2^d C for the generator sum of a.
+
+    This is the B/C sandwich of :func:`compute_quantities` applied to the
+    coefficient family, at tolerance 1e-9 * its scale.
+    """
     fam = OperatorFamily(n, d, MATRIX, {g: as_tracial_matrix(v) for g, v in a.items()})
-    S_norm = ga_even_norm(generator_sum(fam.values, n, d), p, budget)
-    C = max_flattening_norm(fam, p, budget)
     tol = 1e-9 * family_scale(fam, p, budget)
+    S_norm, C, lower_ok, upper_ok = _iteration_sandwich(fam, p, budget, tol)
     return KhintchineReport(
-        lower_ok=bool(C <= S_norm + tol),
-        upper_ok=bool(S_norm <= (2**d) * C + tol),
-        S_norm=float(S_norm),
-        C=float(C),
+        lower_ok=bool(lower_ok), upper_ok=bool(upper_ok), S_norm=S_norm, C=C
     )
 
 
@@ -449,10 +464,9 @@ def sublemma_root_check(p: int, D: float) -> RootReport:
 
     Bisection on [D, 4pD] to 1e-10 relative; the bound checks root <= 2pD.
     """
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    if D <= 0:
-        raise ValueError(f"D must be positive, got {D}")
+    check_even_p(p)
+    if not (math.isfinite(D) and D > 0):
+        raise ValueError(f"D must be positive and finite, got {D}")
     coeffs = [(math.comb(p, r) * math.factorial(p - r), r) for r in range(p)]
 
     def g(A: float) -> float:
@@ -487,8 +501,7 @@ def phi_r_bound_check(
     partition with exactly r common singletons, sums the products of
     |mu(0., sigma_k)|, and compares with C(p,r) * ((p-r)!)^d.
     """
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
+    check_even_p(p)
     if d < 1 or not 0 <= r <= p:
         raise ValueError(f"bad (d, r) = ({d}, {r})")
     parts = [s for s in all_partitions(p) if s.num_blocks < p]

@@ -7,12 +7,15 @@ identities checked here.  Kernel partitions group positions with equal k-th
 coordinate, and the decomposition identity rewrites the full moment sum as the
 injective-projection part plus a signed Mobius combination of the dominated
 sums.
+
+Index functions come from the lexicographic enumerator that also certifies
+dissociate word families, and ``MomentTable._moment_fn`` evaluates every moment.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -23,9 +26,9 @@ from .algebra import (
     ga_adjoint,
     ga_multiply,
     ga_trace,
-    ntrace,
 )
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET
+from .freegroup import _index_functions, has_injective_projection
 from .partitions import SetPartition, kernel_partition, mobius, refinements, refines
 
 #: An index function: p multi-indices from [n]^d, 1-based.
@@ -47,12 +50,6 @@ class DecompositionReport:
     injective_sum: complex
 
 
-def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
-    """True iff some coordinate k has pairwise distinct values along h."""
-    p = len(h)
-    return any(len({gamma[k] for gamma in h}) == p for k in range(d))
-
-
 def sigma_of(h: Sequence[tuple[int, ...]], k: int) -> SetPartition:
     """Kernel partition of the k-th coordinate function (k is 1-based)."""
     if not h:
@@ -67,30 +64,13 @@ def delta_of(h: Sequence[tuple[int, ...]]) -> tuple[SetPartition, ...]:
     return tuple(sigma_of(h, k) for k in range(1, len(h[0]) + 1))
 
 
-def _alternate(s: int, adjoint_first: bool) -> bool:
-    """Whether position s (1-based) carries the adjoint."""
-    return (s % 2 == 1) == adjoint_first
-
-
 def alternating_moment(
     f: OperatorFamily, h: Sequence[tuple[int, ...]], adjoint_first: bool = True
 ) -> complex:
     """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp)."""
     if len(h) % 2:
         raise ValueError("index functions must have even length")
-    if f.kind == MATRIX:
-        acc = None
-        for s, gamma in enumerate(h, start=1):
-            v = f.values[gamma]
-            m = v.conj().T if _alternate(s, adjoint_first) else v
-            acc = m if acc is None else acc @ m
-        return ntrace(acc)
-    acc = None
-    for s, gamma in enumerate(h, start=1):
-        v = f.values[gamma]
-        e = ga_adjoint(v) if _alternate(s, adjoint_first) else v
-        acc = e if acc is None else ga_multiply(acc, e)
-    return ga_trace(acc)
+    return MomentTable._moment_fn(f, adjoint_first)(tuple(h))
 
 
 def is_p_orthogonal(
@@ -101,18 +81,16 @@ def is_p_orthogonal(
     adjoint_first: bool = True,
 ) -> MomentReport:
     """Largest alternating moment over index functions with an injective projection."""
-    if p < 2 or p % 2:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    check_budget(f.n ** (f.d * p), budget, "index-function enumeration")
-    gammas = f.gammas()
+    index_functions = _index_functions(f.n, f.d, p, budget, "index-function enumeration")
+    moment = MomentTable._moment_fn(f, adjoint_first)
     worst: IndexFunction | None = None
     worst_abs = 0.0
     count = 0
-    for h in product(gammas, repeat=p):
+    for h in index_functions:
         if not has_injective_projection(h, f.d):
             continue
         count += 1
-        val = abs(alternating_moment(f, h, adjoint_first))
+        val = abs(moment(h))
         if val > worst_abs:
             worst_abs = val
             worst = h
@@ -139,13 +117,12 @@ class MomentTable:
         budget: int = DEFAULT_BUDGET,
         adjoint_first: bool = True,
     ):
-        if p < 2 or p % 2:
-            raise ValueError(f"p must be an even integer >= 2, got {p}")
-        check_budget(f.n ** (f.d * p), budget, "index-function enumeration")
+        index_functions = _index_functions(
+            f.n, f.d, p, budget, "index-function enumeration"
+        )
         self.family = f
         self.p = p
         self.adjoint_first = adjoint_first
-        gammas = f.gammas()
         zero = SetPartition.singletons(p)
 
         moment = self._moment_fn(f, adjoint_first)
@@ -161,7 +138,7 @@ class MomentTable:
         total = 0j
         injective = 0j
         phi_map: dict[tuple[SetPartition, ...], complex] = {}
-        for h in product(gammas, repeat=p):
+        for h in index_functions:
             m = moment(h)
             total += m
             eta = tuple(kern(tuple(g[k] for g in h)) for k in range(f.d))
@@ -171,55 +148,36 @@ class MomentTable:
         self.total = total
         self.injective_sum = injective
         self.phi_map = phi_map
-        self.count = len(gammas) ** p
+        self.count = f.n ** (f.d * p)
 
     @staticmethod
     def _moment_fn(f: OperatorFamily, adjoint_first: bool):
-        """Specialized moment evaluator for the hot enumeration loop."""
+        """The moment evaluator: h -> trace of the alternating product along h.
+
+        Matrices multiply out left to right; a family of single-term elements
+        chains one word and one coefficient; other elements use ga_multiply.
+        """
+        values = f.values
         if f.kind == MATRIX:
-            plain = {g: f.values[g] for g in f.gammas()}
-            adj = {g: v.conj().T for g, v in plain.items()}
-            odd, even = (adj, plain) if adjoint_first else (plain, adj)
-
-            def moment(h):
-                acc = odd[h[0]]
-                for s in range(1, len(h)):
-                    acc = acc @ (even[h[s]] if s % 2 else odd[h[s]])
-                return complex(np.trace(acc) / acc.shape[0])
-
-            return moment
-
-        if all(v.term_count <= 1 for v in f.values.values()):
-            # single-term elements: track one word and one coefficient chain
-            def pair(v, adjoint):
-                if not v.terms:
-                    return None
-                (wt, c), = v.terms.items()
-                return (wt.inverse(), c.conj().T) if adjoint else (wt, c)
-
-            plain_p = {g: pair(f.values[g], False) for g in f.gammas()}
-            adj_p = {g: pair(f.values[g], True) for g in f.gammas()}
-            odd_p, even_p = (adj_p, plain_p) if adjoint_first else (plain_p, adj_p)
-
-            def moment(h):
-                first = odd_p[h[0]]
-                if first is None:
-                    return 0j
-                wt, coeff = first
-                for s in range(1, len(h)):
-                    entry = even_p[h[s]] if s % 2 else odd_p[h[s]]
-                    if entry is None:
-                        return 0j
-                    wt = wt * entry[0]
-                    coeff = coeff @ entry[1]
-                if not wt.is_identity:
-                    return 0j
-                return complex(np.trace(coeff) / coeff.shape[0])
-
-            return moment
+            adjoint, mul = (lambda v: v.conj().T), operator.matmul
+            trace = lambda acc: complex(np.trace(acc) / acc.shape[0])
+        elif all(v.term_count == 1 for v in values.values()):
+            values = {g: next(iter(v.terms.items())) for g, v in values.items()}
+            adjoint = lambda pair: (pair[0].inverse(), pair[1].conj().T)
+            mul = lambda a, b: (a[0] * b[0], a[1] @ b[1])
+            trace = lambda acc: (
+                complex(np.trace(acc[1]) / acc[1].shape[0]) if acc[0].is_identity else 0j
+            )
+        else:
+            adjoint, mul, trace = ga_adjoint, ga_multiply, ga_trace
+        adj = {g: adjoint(v) for g, v in values.items()}
+        odd, even = (adj, values) if adjoint_first else (values, adj)
 
         def moment(h):
-            return alternating_moment(f, h, adjoint_first)
+            acc = odd[h[0]]
+            for s in range(1, len(h)):
+                acc = mul(acc, even[h[s]] if s % 2 else odd[h[s]])
+            return trace(acc)
 
         return moment
 

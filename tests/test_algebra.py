@@ -32,8 +32,10 @@ from orthosum.algebra import (
     schatten_even_norm,
     vv_norm,
 )
-from orthosum.errors import KindError, SizeLimitError
+from orthosum.algebra import _gram_power_identity_coeff
+from orthosum.errors import DEFAULT_BUDGET, KindError, SizeLimitError
 from orthosum.freegroup import Word, WordTuple
+from orthosum.lab import FamilySpec, make_family
 
 
 def rng(seed=0):
@@ -362,3 +364,51 @@ def test_ga_and_family_json_roundtrip():
     gfam2 = family_from_json(json.loads(json.dumps(family_to_json(gfam))))
     assert gfam2.kind == GROUP_ALGEBRA
     assert ga_even_norm(gfam2.sum_value(), 2) == pytest.approx(np.sqrt(2))
+
+
+def full_expansion_identity_coeff(x, p):
+    """Identity coefficient of (x* x)^(p/2), expanded in full by repeated products."""
+    gram = ga_multiply(ga_adjoint(x), x)
+    power = gram
+    for _ in range(p // 2 - 1):
+        power = ga_multiply(power, gram)
+    return power.coefficient(WordTuple.identity(x.arity))
+
+
+def multi_term_element(seed):
+    r = rng(seed)
+    words = [Word(), Word(((1, 1),)), Word(((2, 1), (1, -1))), Word(((1, -1), (1, -1)))]
+    return GroupAlgebraElement.build(
+        1, 2, (2, 2), {WordTuple((w,)): rand_matrix(r, 2) for w in words}
+    )
+
+
+PAIRING_ELEMENTS = {
+    "free_generators": lambda: make_family(
+        FamilySpec("free_generators", n=3, d=1, p=2, dim=2)
+    ).sum_value(),
+    "dissociate": lambda: make_family(
+        FamilySpec("dissociate", n=2, d=2, p=2, dim=2, seed=31)
+    ).sum_value(),
+    "multi_term": lambda: multi_term_element(32),
+}
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize("kind", sorted(PAIRING_ELEMENTS))
+def test_half_power_pairing_matches_full_expansion(kind, p):
+    x = PAIRING_ELEMENTS[kind]()
+    want = full_expansion_identity_coeff(x, p)
+    got = _gram_power_identity_coeff(x, p, DEFAULT_BUDGET)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    want_norm = max(np.trace(want).real / x.coeff_dim, 0.0) ** (1.0 / p)
+    assert ga_even_norm(x, p) == pytest.approx(want_norm, rel=1e-12)
+
+
+def test_non_finite_coefficients_are_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_family(2, 1, {(1,): np.eye(2), (2,): np.diag([1.0, bad])})
+        x = ga_monomial(1, 2, [Word(((1, 1),))], np.array([[bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            OperatorFamily(2, 1, GROUP_ALGEBRA, {(1,): x, (2,): lam(2)})

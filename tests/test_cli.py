@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from orthosum.cli import main
 
 
@@ -187,3 +189,55 @@ def test_budget_flag_threads_through(tmp_path, capsys):
     code, _, err = run(capsys, "ortho", "--spec", spec, "--budget", "10")
     assert code == 2
     assert "size limit" in err
+
+
+def write(tmp_path, text):
+    path = tmp_path / "raw.json"
+    path.write_text(text)
+    return str(path)
+
+
+def nan_family_spec(tmp_path):
+    """A file spec holding scalar ones on [4]^1 with NaN at index 1."""
+    values = {str(i): {"dim": 1, "entries": [[1.0, 0.0]]} for i in range(1, 5)}
+    values["1"]["entries"] = [[float("nan"), 0.0]]
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"n": 4, "d": 1, "values": values}))
+    return spec_file(tmp_path, kind="file", path=str(family), p=4)
+
+
+@pytest.mark.parametrize("command", ["ortho", "decompose", "inequality"])
+def test_nan_family_exits_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, "--spec", nan_family_spec(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda tmp: ["ortho", "--spec", spec_file(tmp, n=2, d=1, p=4)], id="no-kind"),
+        pytest.param(lambda tmp: ["ortho", "--spec", write(tmp, "5")], id="spec-not-object"),
+        pytest.param(lambda tmp: ["sublemma", "--p", "4", "--D", "inf"], id="D-inf"),
+        pytest.param(lambda tmp: ["sublemma", "--p", "4", "--D", "nan"], id="D-nan"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    code, out, err = run(capsys, *case(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_finite_result_is_not_printed(monkeypatch, capsys):
+    from orthosum import cli
+
+    def nan_report(args):
+        return {"root": float("nan")}, [cli._assertion("root_bound", True)], None
+
+    monkeypatch.setitem(cli._HANDLERS, "sublemma", nan_report)
+    code, out, err = run(capsys, "sublemma", "--p", "4", "--D", "1.0")
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -214,3 +214,13 @@ def test_holder_bound_on_random_tuples(seed):
     sig = (parts[idx[0]], parts[idx[1]])
     report = factor_norm_report(fam, sig, 4, table=table)
     assert report.holder_ok
+
+
+def test_factor_norm_report_carries_factorization_check():
+    fam = random_family(2, 2, 2, seed=7)
+    table = moment_table(fam, 4)
+    parts = [s for s in all_partitions(4) if s.num_blocks < 4]
+    for sig in list(product(parts, repeat=2))[::23]:
+        carried = factor_norm_report(fam, sig, 4, table=table).check
+        assert carried == factorization_check(fam, sig, 4, table=table)
+        assert carried.psi_direct == psi(fam, sig, 4, table=table)

@@ -374,3 +374,32 @@ def test_orthogonal_family_norm_matches_noninjective_sum(kind, n, d, p, dim):
     norm_p = family_sum_norm(fam, p) ** p
     assert abs(norm_p - noninj.real) <= 1e-8 * scale
     assert abs(noninj.imag) <= 1e-8 * scale
+
+
+# --- one tolerance and one sandwich per report ---------------------------------
+
+
+def test_main_inequality_carries_its_tolerance():
+    fam = make_family(FamilySpec("martingale_rademacher", n=3, d=1, p=4, dim=2, seed=70))
+    report = main_inequality_report(fam, 4)
+    assert report.tol == 1e-9 * family_scale(fam, 4)
+    assert report.quantities == compute_quantities(fam, 4)
+
+
+@pytest.mark.parametrize("n,d,p", [(2, 1, 4), (2, 2, 4)])
+def test_khintchine_is_the_quantities_sandwich(n, d, p):
+    a = random_coeffs(n, d, 2, seed=71)
+    rep = khintchine_iteration_check(a, n, d, p)
+    q = compute_quantities(OperatorFamily(n, d, MATRIX, a), p)
+    assert (rep.S_norm, rep.C) == (q.B, q.C)
+
+
+def test_spec_without_kind_is_a_value_error():
+    with pytest.raises(ValueError, match="kind"):
+        FamilySpec.from_json({"n": 2, "d": 1, "p": 4})
+
+
+@pytest.mark.parametrize("D", [math.inf, math.nan, -math.inf])
+def test_root_rejects_non_finite_D(D):
+    with pytest.raises(ValueError):
+        sublemma_root_check(4, D)

@@ -5,9 +5,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from orthosum.algebra import MATRIX, OperatorFamily, family_scale
+from orthosum.algebra import (
+    GROUP_ALGEBRA,
+    MATRIX,
+    GroupAlgebraElement,
+    OperatorFamily,
+    family_scale,
+)
 from orthosum.errors import SizeLimitError
-from orthosum.freegroup import gamma_indices
+from orthosum.freegroup import Word, WordTuple, gamma_indices
 from orthosum.lab import FamilySpec, make_family
 from orthosum.orthogonality import (
     alternating_moment,
@@ -21,6 +27,8 @@ from orthosum.orthogonality import (
     sigma_of,
 )
 from orthosum.partitions import SetPartition, all_partitions, refines
+
+from moment_oracle import reference_moment
 
 
 def rng(seed=0):
@@ -123,7 +131,7 @@ def brute_force_phi(fam, eta, p):
     acc = 0j
     for h in all_index_functions(fam.n, fam.d, p):
         if delta_of(h) == tuple(eta):
-            acc += alternating_moment(fam, h)
+            acc += reference_moment(fam, h)
     return acc
 
 
@@ -132,7 +140,7 @@ def brute_force_psi(fam, sigmas, p):
     for h in all_index_functions(fam.n, fam.d, p):
         kernels = delta_of(h)
         if all(refines(sigmas[k], kernels[k]) for k in range(fam.d)):
-            acc += alternating_moment(fam, h)
+            acc += reference_moment(fam, h)
     return acc
 
 
@@ -146,7 +154,7 @@ def test_phi_top_kernel_is_constant_sum():
     fam = random_family(2, 2, 2, seed=8)
     eta = (SetPartition.one_block(4), SetPartition.one_block(4))
     expect = sum(
-        alternating_moment(fam, (g,) * 4) for g in gamma_indices(2, 2)
+        reference_moment(fam, (g,) * 4) for g in gamma_indices(2, 2)
     )
     assert phi(fam, eta, 4) == pytest.approx(expect)
 
@@ -159,7 +167,7 @@ def test_phi_sums_to_total_moment(n, d, p, dim):
         phi(fam, eta, p, table=table)
         for eta in product(all_partitions(p), repeat=d)
     )
-    total = sum(alternating_moment(fam, h) for h in all_index_functions(n, d, p))
+    total = sum(reference_moment(fam, h) for h in all_index_functions(n, d, p))
     scale = family_scale(fam, p)
     assert abs(total_by_phi - total) <= 1e-10 * scale
     assert abs(table.total - total) <= 1e-10 * scale
@@ -177,14 +185,14 @@ def test_phi_matches_brute_force():
 def test_psi_no_constraint_gives_total():
     fam = random_family(2, 2, 2, seed=10)
     sig = (SetPartition.singletons(4), SetPartition.singletons(4))
-    total = sum(alternating_moment(fam, h) for h in all_index_functions(2, 2, 4))
+    total = sum(reference_moment(fam, h) for h in all_index_functions(2, 2, 4))
     assert psi(fam, sig, 4) == pytest.approx(total)
 
 
 def test_psi_top_constraint_gives_constant_sum():
     fam = random_family(2, 2, 2, seed=11)
     sig = (SetPartition.one_block(4), SetPartition.one_block(4))
-    expect = sum(alternating_moment(fam, (g,) * 4) for g in gamma_indices(2, 2))
+    expect = sum(reference_moment(fam, (g,) * 4) for g in gamma_indices(2, 2))
     assert psi(fam, sig, 4) == pytest.approx(expect)
 
 
@@ -248,5 +256,79 @@ def test_moment_table_counts():
 def test_group_algebra_moment_table_matches_generic_path():
     fam = make_family(FamilySpec("free_generators", n=2, d=1, p=4))
     table = moment_table(fam, 4)
-    total = sum(alternating_moment(fam, h) for h in all_index_functions(2, 1, 4))
+    total = sum(reference_moment(fam, h) for h in all_index_functions(2, 1, 4))
     assert table.total == pytest.approx(total)
+
+
+def multi_term_family(seed):
+    """A one-index group-algebra family whose members have several terms."""
+    r = rng(seed)
+
+    def element(*words):
+        terms = {WordTuple((w,)): rand_matrix(r, 2) for w in words}
+        return GroupAlgebraElement.build(1, 2, (2, 2), terms)
+
+    return OperatorFamily(
+        2,
+        1,
+        GROUP_ALGEBRA,
+        {
+            (1,): element(Word(((1, 1),)), Word(((2, 1), (1, 1)))),
+            (2,): element(Word(), Word(((2, -1),)), Word(((1, -1), (2, 1)))),
+        },
+    )
+
+
+MOMENT_FAMILIES = {
+    "matrix": lambda: random_family(2, 2, 2, seed=21),
+    "single_term": lambda: make_family(FamilySpec("free_generators", n=2, d=2, p=4)),
+    "dissociate": lambda: make_family(
+        FamilySpec("dissociate", n=2, d=2, p=4, dim=2, seed=22)
+    ),
+    "multi_term": lambda: multi_term_family(23),
+}
+
+
+def test_has_injective_projection_is_defined_once():
+    from orthosum import freegroup, orthogonality
+
+    assert orthogonality.has_injective_projection is freegroup.has_injective_projection
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+@pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
+def test_alternating_moment_matches_reference(kind, adjoint_first):
+    fam = MOMENT_FAMILIES[kind]()
+    for h in all_index_functions(fam.n, fam.d, 4):
+        got = alternating_moment(fam, h, adjoint_first)
+        want = reference_moment(fam, h, adjoint_first)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), h
+
+
+@pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
+def test_is_p_orthogonal_matches_reference(kind):
+    fam = MOMENT_FAMILIES[kind]()
+    injective = [
+        h for h in all_index_functions(fam.n, fam.d, 2) if has_injective_projection(h, fam.d)
+    ]
+    want = max(abs(reference_moment(fam, h)) for h in injective)
+    report = is_p_orthogonal(fam, 2, 0.0)
+    assert report.count_checked == len(injective)
+    assert abs(report.max_abs_violation - want) <= 1e-12 * (1.0 + want)
+
+
+def test_moment_table_matches_reference_on_multi_term_family():
+    fam = multi_term_family(24)
+    table = moment_table(fam, 4)
+    total = sum(reference_moment(fam, h) for h in all_index_functions(2, 1, 4))
+    assert abs(table.total - total) <= 1e-12 * (1.0 + abs(total))
+
+
+def test_nan_coefficient_is_rejected_not_passed():
+    ones = {g: np.eye(1) for g in gamma_indices(4, 1)}
+    report = is_p_orthogonal(OperatorFamily(4, 1, MATRIX, ones), 4, 1e-9)
+    assert report.max_abs_violation == pytest.approx(1.0)
+    with_nan = dict(ones)
+    with_nan[(1,)] = np.array([[np.nan]])
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorFamily(4, 1, MATRIX, with_nan)
