@@ -227,12 +227,8 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
     acc: dict[WordTuple, np.ndarray] = {}
     for wx, cx in x.sorted_terms():
         for wy, cy in y.sorted_terms():
-            w = wx * wy
-            prod = cx @ cy
-            if w in acc:
-                acc[w] = acc[w] + prod
-            else:
-                acc[w] = prod
+            w, prod = wx * wy, cx @ cy
+            acc[w] = acc[w] + prod if w in acc else prod
     shape = (x.coeff_shape[0], y.coeff_shape[1])
     return GroupAlgebraElement.build(x.arity, x.n, shape, acc)
 
@@ -354,9 +350,7 @@ class OperatorFamily:
     @property
     def coeff_dim(self) -> int:
         probe = next(iter(self.values.values()))
-        if self.kind == MATRIX:
-            return probe.shape[0]
-        return probe.coeff_dim
+        return probe.shape[0] if self.kind == MATRIX else probe.coeff_dim
 
     def sum_value(self):
         """Sum of the family members (matrix or group-algebra element)."""
@@ -492,6 +486,12 @@ def family_to_json(f: OperatorFamily) -> dict:
 
 
 def family_from_json(obj: Mapping) -> OperatorFamily:
+    if not (
+        isinstance(obj, Mapping)
+        and {"n", "d", "values"} <= obj.keys()
+        and isinstance(obj["values"], Mapping)
+    ):
+        raise ValueError("a family must be an object with 'n', 'd' and 'values' objects")
     n, d = int(obj["n"]), int(obj["d"])
     values: dict[tuple[int, ...], Any] = {}
     kind = None

@@ -24,13 +24,14 @@ from typing import Any
 import numpy as np
 
 from . import factorization, lab, orthogonality
-from .algebra import MATRIX, family_scale
-from .errors import DEFAULT_BUDGET, NotPOrthogonalError, SizeLimitError
+from .algebra import MATRIX, OperatorFamily, family_scale
+from .errors import DEFAULT_BUDGET, NotPOrthogonalError, SizeLimitError, check_budget
 from .freegroup import canonical_dissociate, is_p_dissociate, word_family_from_json
 from .lab import FamilySpec, make_family
 from .partitions import (
     SetPartition,
     all_partitions,
+    bell,
     parse_partition,
     verify_mobius_identities,
 )
@@ -85,13 +86,13 @@ def _render(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _load_spec(args: argparse.Namespace) -> FamilySpec:
+def _load_family(args: argparse.Namespace) -> tuple[FamilySpec, OperatorFamily]:
     spec = FamilySpec.from_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
     if getattr(args, "p", None):
         spec.p = args.p
-    return spec
+    return spec, make_family(spec, args.budget)
 
 
 def _cmd_mobius(args) -> tuple[dict, list[dict], int | None]:
@@ -117,13 +118,11 @@ def _cmd_dissociate(args) -> tuple[dict, list[dict], int | None]:
             family = word_family_from_json(json.load(fh))
     report = is_p_dissociate(family, args.p, args.budget)
     results = {"n": family.n, "d": family.d, "p": args.p, "ok": report.ok}
-    witness = [list(g) for g in report.witness] if report.witness else None
-    return results, [_assertion("p_dissociate", report.ok, witness)], None
+    return results, [_assertion("p_dissociate", report.ok, report.witness)], None
 
 
 def _cmd_ortho(args) -> tuple[dict, list[dict], int | None]:
-    spec = _load_spec(args)
-    fam = make_family(spec, args.budget)
+    spec, fam = _load_family(args)
     scale = family_scale(fam, spec.p, args.budget)
     tol = args.tol if args.tol is not None else 1e-9 * scale
     report = orthogonality.is_p_orthogonal(fam, spec.p, tol, args.budget)
@@ -134,13 +133,11 @@ def _cmd_ortho(args) -> tuple[dict, list[dict], int | None]:
         "scale": scale,
     }
     ok = report.max_abs_violation <= tol
-    witness = [list(g) for g in report.worst_h] if report.worst_h else None
-    return results, [_assertion("p_orthogonal", ok, witness)], spec.seed
+    return results, [_assertion("p_orthogonal", ok, report.worst_h)], spec.seed
 
 
 def _cmd_decompose(args) -> tuple[dict, list[dict], int | None]:
-    spec = _load_spec(args)
-    fam = make_family(spec, args.budget)
+    spec, fam = _load_family(args)
     scale = family_scale(fam, spec.p, args.budget)
     report = orthogonality.mobius_decomposition_check(fam, spec.p, args.budget)
     results = {
@@ -154,30 +151,26 @@ def _cmd_decompose(args) -> tuple[dict, list[dict], int | None]:
     return results, [_assertion("decomposition_identity", ok, report.abs_err)], spec.seed
 
 
-def _parse_sigmas(path: str, d: int, p: int) -> list[SetPartition]:
+def _parse_sigmas(path: str) -> tuple[SetPartition, ...]:
+    """The partitions in a JSON list of strings; the factors check their shape."""
     with open(path) as fh:
         texts = json.load(fh)
-    if len(texts) != d:
-        raise ValueError(f"expected {d} partitions, got {len(texts)}")
-    sigmas = [parse_partition(t) for t in texts]
-    for text, s in zip(texts, sigmas):
-        if s.ground_size != p:
-            raise ValueError(
-                f"partition {text!r} has ground size {s.ground_size}, not {p}"
-            )
-    return sigmas
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("--sigmas must hold a JSON list of partition strings")
+    return tuple(parse_partition(t) for t in texts)
 
 
 def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
-    spec = _load_spec(args)
-    fam = make_family(spec, args.budget)
+    spec, fam = _load_family(args)
     if fam.kind != MATRIX:
         raise ValueError("factorize needs a matrix-valued family spec")
     scale = family_scale(fam, spec.p, args.budget)
     table = orthogonality.moment_table(fam, spec.p, args.budget)
     if args.sigmas:
-        tuples = [tuple(_parse_sigmas(args.sigmas, fam.d, spec.p))]
+        tuples = [_parse_sigmas(args.sigmas)]
     else:
+        needed = (bell(spec.p) - 1) ** fam.d
+        check_budget(needed, args.budget, "partition-tuple enumeration")
         parts = [s for s in all_partitions(spec.p) if s.num_blocks < spec.p]
         tuples = list(product(parts, repeat=fam.d))
     max_err = 0.0
@@ -203,14 +196,11 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
 
 
 def _cmd_inequality(args) -> tuple[dict, list[dict], int | None]:
-    spec = _load_spec(args)
-    fam = make_family(spec, args.budget)
+    spec, fam = _load_family(args)
     try:
         report = lab.main_inequality_report(fam, spec.p, args.budget)
     except NotPOrthogonalError as exc:
-        witness = None
-        if exc.report is not None and exc.report.worst_h is not None:
-            witness = [list(g) for g in exc.report.worst_h]
+        witness = exc.report.worst_h if exc.report is not None else None
         results = {"error": str(exc)}
         return results, [_assertion("p_orthogonal_precondition", False, witness)], spec.seed
     q = report.quantities
@@ -222,11 +212,11 @@ def _cmd_inequality(args) -> tuple[dict, list[dict], int | None]:
         "ratio": report.ratio,
         "pisier_ok": report.pisier_ok,
     }
-    tol = report.tol
+    sandwich = {"B": q.B, "C": q.C, "2^d C": 2**fam.d * q.C}
     assertions = [
         _assertion("p_orthogonal_precondition", True),
-        _assertion("iteration_upper", q.B <= 2**fam.d * q.C + tol),
-        _assertion("iteration_converse", q.C <= q.B + tol),
+        _assertion("iteration_upper", report.upper_ok, sandwich),
+        _assertion("iteration_converse", report.converse_ok, sandwich),
     ]
     if fam.d == 1:
         assertions.append(_assertion("pisier_bound", bool(report.pisier_ok)))
@@ -234,8 +224,7 @@ def _cmd_inequality(args) -> tuple[dict, list[dict], int | None]:
 
 
 def _cmd_khintchine(args) -> tuple[dict, list[dict], int | None]:
-    spec = _load_spec(args)
-    fam = make_family(spec, args.budget)
+    spec, fam = _load_family(args)
     if fam.kind != MATRIX:
         raise ValueError("khintchine needs a matrix-coefficient family spec")
     report = lab.khintchine_iteration_check(fam.values, fam.n, fam.d, spec.p, args.budget)
@@ -287,27 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("ortho", help="p-orthogonality of a generated family")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=None)
+    def family_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--spec", required=True)
+        p.add_argument("--p", type=int, default=None)
+        return p
+
+    p = family_command("ortho", "p-orthogonality of a generated family")
     p.add_argument("--tol", type=float, default=None)
     common(p)
 
-    p = sub.add_parser("decompose", help="moment decomposition identity")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=None)
-    common(p)
+    common(family_command("decompose", "moment decomposition identity"))
 
-    p = sub.add_parser("factorize", help="factorization identity and factor norms")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=None)
+    p = family_command("factorize", "factorization identity and factor norms")
     p.add_argument("--sigmas", default=None, help="JSON list of partition strings")
     common(p)
 
-    p = sub.add_parser("inequality", help="main estimate quantities and ratio")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--p", type=int, default=None)
-    common(p)
+    common(family_command("inequality", "main estimate quantities and ratio"))
 
     p = sub.add_parser("khintchine", help="2^d iteration sandwich")
     p.add_argument("--spec", required=True)

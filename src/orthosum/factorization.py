@@ -95,31 +95,19 @@ class BlockAnatomy:
         if any(s.ground_size != p for s in sigmas):
             raise ValueError("partitions must share a ground size")
         d = len(sigmas)
-        block_index = []
-        block_rank = []
-        for sigma in sigmas:
-            idx = [0] * p
-            rank = [0] * p
-            for j, block in enumerate(sigma.blocks):
-                for r, s in enumerate(block, start=1):
-                    idx[s - 1] = j
-                    rank[s - 1] = r
-            block_index.append(tuple(idx))
-            block_rank.append(tuple(rank))
-        singles = [set(sigma.singleton_elements()) for sigma in sigmas]
-        q = tuple(sum(1 for k in range(d) if s in singles[k]) for s in range(1, p + 1))
+        block_index = tuple(sigma.rgs for sigma in sigmas)
+        # the rank of s is the number of positions up to s in its block
+        block_rank = tuple(
+            tuple(code[: s + 1].count(j) for s, j in enumerate(code))
+            for code in block_index
+        )
+        # s is a singleton of sigma_k when its label occurs once in the code
+        q = tuple(sum(c.count(c[s]) == 1 for c in block_index) for s in range(p))
         b_sets = tuple(
             tuple(s for s in range(1, p + 1) if q[s - 1] == level)
             for level in range(d + 1)
         )
-        return cls(
-            sigmas=sigmas,
-            p=p,
-            block_index=tuple(block_index),
-            block_rank=tuple(block_rank),
-            q=q,
-            b_sets=b_sets,
-        )
+        return cls(sigmas, p, block_index, block_rank, q, b_sets)
 
     @property
     def d(self) -> int:
@@ -265,10 +253,8 @@ def factor_norm_report(
         records.append(FactorRecord(s=s, q=anatomy.q[s - 1], norm=norm))
         norms_product *= norm
     sum_norm = schatten_even_norm(f.sum_value(), p)
-    bd_rel = 0.0
-    for s in anatomy.common_singletons:
-        err = abs(records[s - 1].norm - sum_norm) / max(sum_norm, 1e-300)
-        bd_rel = max(bd_rel, err)
+    errs = (abs(records[s - 1].norm - sum_norm) for s in anatomy.common_singletons)
+    bd_rel = max(errs, default=0.0) / max(sum_norm, 1e-300)
     psi_abs = abs(check.psi_factored)
     holder_ok = bool(psi_abs <= norms_product * (1.0 + 1e-9) + 1e-12)
     return FactorNormReport(

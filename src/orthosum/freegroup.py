@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
+from .partitions import kernel_code
 
 _WORD_LETTER = re.compile(r"^([gG])(\d+)$")
 
@@ -144,17 +145,22 @@ def gamma_indices(n: int, d: int) -> list[tuple[int, ...]]:
 
 def _index_functions(
     n: int, d: int, p: int, budget: int, what: str
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All h: [p] -> [n]^d in lexicographic order; p and the budget are checked first."""
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
+    """All h: [p] -> [n]^d in lexicographic order, each with its d kernel codes.
+
+    p and the budget are checked before the first h is yielded.
+    """
     check_even_p(p)
     check_budget(n ** (d * p), budget, what)
-    return product(gamma_indices(n, d), repeat=p)
+    return (
+        (h, tuple(map(kernel_code, zip(*h))))
+        for h in product(gamma_indices(n, d), repeat=p)
+    )
 
 
 def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
     """True iff some coordinate k has pairwise distinct values along h."""
-    p = len(h)
-    return any(len({gamma[k] for gamma in h}) == p for k in range(d))
+    return tuple(range(len(h))) in map(kernel_code, islice(zip(*h), d))
 
 
 @dataclass
@@ -200,8 +206,9 @@ def is_p_dissociate(
     product t(h1)^-1 t(h2) t(h3)^-1 ... t(hp) must differ from the identity.
     On failure the witness is one violating h.
     """
-    for h in _index_functions(family.n, family.d, p, budget, "dissociate enumeration"):
-        if not has_injective_projection(h, family.d):
+    injective, what = tuple(range(p)), "dissociate enumeration"
+    for h, codes in _index_functions(family.n, family.d, p, budget, what):
+        if injective not in codes:
             continue
         acc = Word()
         for s, gamma in enumerate(h, start=1):

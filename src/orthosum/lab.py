@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -122,17 +123,7 @@ class FamilySpec:
         check_even_p(self.p)
 
     def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "n": self.n,
-            "d": self.d,
-            "p": self.p,
-            "dim": self.dim,
-            "seed": self.seed,
-        }
-        if self.path is not None:
-            out["path"] = self.path
-        return out
+        return {k: v for k, v in asdict(self).items() if k != "path" or v is not None}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FamilySpec":
@@ -301,19 +292,17 @@ def _iteration_sandwich(
     return B, C, C <= B + tol, B <= (2**f.d) * C + tol
 
 
-def _quantities(f: OperatorFamily, p: int, budget: int, tol: float) -> Quantities:
-    """:func:`compute_quantities` with the sandwich checked at ``tol``."""
+def _quantities(
+    f: OperatorFamily, p: int, budget: int, tol: float
+) -> tuple[Quantities, bool, bool]:
+    """The quantities and the sandwich verdicts C <= B and B <= 2^d C at ``tol``."""
     A = float(family_sum_norm(f, p, budget))
-    B, C, lower_ok, upper_ok = _iteration_sandwich(f, p, budget, tol)
-    if not (lower_ok and upper_ok):
-        raise RuntimeError(
-            f"iteration sandwich violated: C={C}, B={B}, 2^d C={(2 ** f.d) * C}"
-        )
+    B, C, converse_ok, upper_ok = _iteration_sandwich(f, p, budget, tol)
     sup = max(
         math.factorial(p - r) ** ((f.d - 1) / (p - r)) for r in range(0, p - 1)
     )
     D = float(sup * p ** (f.d * (f.d - 1) // 2) * C)
-    return Quantities(A=A, B=B, C=C, D=D, p=p, n=f.n, d=f.d)
+    return Quantities(A=A, B=B, C=C, D=D, p=p, n=f.n, d=f.d), converse_ok, upper_ok
 
 
 def compute_quantities(
@@ -321,11 +310,16 @@ def compute_quantities(
 ) -> Quantities:
     """A, B, C and D for a family, with the 2^d sandwich verified on the side.
 
-    The sandwich tolerance is 1e-9 * family scale.  D uses the unit constant
-    in place of the unspecified dimensional one, so it is a reported quantity
-    only.
+    The sandwich tolerance is 1e-9 * family scale; a violation raises
+    RuntimeError.  D uses the unit constant in place of the unspecified
+    dimensional one, so it is a reported quantity only.
     """
-    return _quantities(f, p, budget, 1e-9 * family_scale(f, p, budget))
+    q, converse_ok, upper_ok = _quantities(f, p, budget, 1e-9 * family_scale(f, p, budget))
+    if not (converse_ok and upper_ok):
+        raise RuntimeError(
+            f"iteration sandwich violated: C={q.C}, B={q.B}, 2^d C={(2 ** f.d) * q.C}"
+        )
+    return q
 
 
 @dataclass(frozen=True)
@@ -334,6 +328,9 @@ class InequalityReport:
     pisier_ok: bool | None
     quantities: Quantities
     tol: float  # 1e-9 * family scale
+    #: the iteration sandwich at ``tol``: B <= 2^d C and its converse C <= B
+    upper_ok: bool
+    converse_ok: bool
 
 
 def main_inequality_report(
@@ -342,7 +339,8 @@ def main_inequality_report(
     """Ratio of the sum norm to p^(d(d+1)/2) times the best flattening norm.
 
     Requires the family to be p-orthogonal at tolerance 1e-9 * scale; for one
-    index the (3pi/2)p bound is additionally checked.
+    index the (3pi/2)p bound is additionally checked.  The iteration sandwich
+    is decided here once and carried in the report, not raised.
     """
     tol = 1e-9 * family_scale(f, p, budget)
     report = is_p_orthogonal(f, p, tol, budget)
@@ -352,7 +350,7 @@ def main_inequality_report(
             f"(max violation {report.max_abs_violation:.3e} > {tol:.3e})",
             report,
         )
-    q = _quantities(f, p, budget, tol)
+    q, converse_ok, upper_ok = _quantities(f, p, budget, tol)
     denom = p ** (f.d * (f.d + 1) // 2) * q.C
     if denom == 0.0:
         ratio = 0.0 if q.A == 0.0 else math.inf
@@ -361,7 +359,7 @@ def main_inequality_report(
     pisier_ok = None
     if f.d == 1:
         pisier_ok = bool(q.A <= ONE_INDEX_CONSTANT * p * q.C + tol)
-    return InequalityReport(ratio=ratio, pisier_ok=pisier_ok, quantities=q, tol=tol)
+    return InequalityReport(ratio, pisier_ok, q, tol, upper_ok, converse_ok)
 
 
 @dataclass(frozen=True)
@@ -463,17 +461,32 @@ def sublemma_root_check(p: int, D: float) -> RootReport:
     """Largest root of A^p = sum over r < p of C(p,r)(p-r)! A^r D^(p-r).
 
     Bisection on [D, 4pD] to 1e-10 relative; the bound checks root <= 2pD.
+    A (p, D) whose polynomial leaves the double range there raises ValueError:
+    the largest coefficient p! and the smallest term D^p are checked before any
+    coefficient is built, and the polynomial at both ends of the bracket after
+    (every term grows with A).
     """
     check_even_p(p)
     if not (math.isfinite(D) and D > 0):
         raise ValueError(f"D must be positive and finite, got {D}")
+    out_of_range = ValueError(f"p = {p}, D = {D} leaves the double range")
+    if math.lgamma(p + 1) > math.log(sys.float_info.max) or (
+        p * math.log(D) < math.log(sys.float_info.min)
+    ):
+        raise out_of_range
     coeffs = [(math.comb(p, r) * math.factorial(p - r), r) for r in range(p)]
 
     def g(A: float) -> float:
         return A**p - sum(c * A**r * D ** (p - r) for c, r in coeffs)
 
     lo, hi = D, 4.0 * p * D
-    if g(lo) > 0 or g(hi) < 0:
+    try:
+        g_lo, g_hi = g(lo), g(hi)
+    except OverflowError:
+        raise out_of_range from None
+    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
+        raise out_of_range
+    if g_lo > 0 or g_hi < 0:
         raise ArithmeticError("root not bracketed by [D, 4pD]")
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)

@@ -9,11 +9,14 @@ injective-projection part plus a signed Mobius combination of the dominated
 sums.
 
 Index functions come from the lexicographic enumerator that also certifies
-dissociate word families, and ``MomentTable._moment_fn`` evaluates every moment.
+dissociate word families, each with the restricted growth strings of its d
+coordinates as kernel codes; h has an injective projection iff one of them is
+0, 1, ..., p-1.  ``MomentTable._moment_fn`` evaluates every moment.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,9 +30,16 @@ from .algebra import (
     ga_multiply,
     ga_trace,
 )
-from .errors import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, check_budget
 from .freegroup import _index_functions, has_injective_projection
-from .partitions import SetPartition, kernel_partition, mobius, refinements, refines
+from .partitions import (
+    SetPartition,
+    kernel_partition,
+    mobius,
+    refinement_count,
+    refinements,
+    refines,
+)
 
 #: An index function: p multi-indices from [n]^d, 1-based.
 IndexFunction = tuple[tuple[int, ...], ...]
@@ -86,8 +96,9 @@ def is_p_orthogonal(
     worst: IndexFunction | None = None
     worst_abs = 0.0
     count = 0
-    for h in index_functions:
-        if not has_injective_projection(h, f.d):
+    injective = tuple(range(p))
+    for h, codes in index_functions:
+        if injective not in codes:
             continue
         count += 1
         val = abs(moment(h))
@@ -123,28 +134,22 @@ class MomentTable:
         self.family = f
         self.p = p
         self.adjoint_first = adjoint_first
-        zero = SetPartition.singletons(p)
 
         moment = self._moment_fn(f, adjoint_first)
-        kern_cache: dict[tuple[int, ...], SetPartition] = {}
-
-        def kern(coords: tuple[int, ...]) -> SetPartition:
-            got = kern_cache.get(coords)
-            if got is None:
-                got = kernel_partition(coords)
-                kern_cache[coords] = got
-            return got
-
-        total = 0j
-        injective = 0j
-        phi_map: dict[tuple[SetPartition, ...], complex] = {}
-        for h in index_functions:
+        total = injective = 0j
+        injective_code = tuple(range(p))
+        by_code: dict[tuple[tuple[int, ...], ...], complex] = {}
+        for h, codes in index_functions:
             m = moment(h)
             total += m
-            eta = tuple(kern(tuple(g[k] for g in h)) for k in range(f.d))
-            phi_map[eta] = phi_map.get(eta, 0j) + m
-            if zero in eta:
+            by_code[codes] = by_code.get(codes, 0j) + m
+            if injective_code in codes:
                 injective += m
+        # an RGS is its own kernel code, so each distinct code is built once
+        parts = {c: kernel_partition(c) for c in {c for codes in by_code for c in codes}}
+        phi_map = {
+            tuple(parts[c] for c in codes): val for codes, val in by_code.items()
+        }
         self.total = total
         self.injective_sum = injective
         self.phi_map = phi_map
@@ -191,12 +196,20 @@ def moment_table(
     return MomentTable(f, p, budget, adjoint_first)
 
 
-def _check_partition_tuple(entries: Sequence[SetPartition], d: int, p: int) -> None:
-    if len(entries) != d:
-        raise ValueError(f"expected {d} partitions, got {len(entries)}")
+def _table_for(
+    f: OperatorFamily,
+    entries: Sequence[SetPartition],
+    p: int,
+    budget: int,
+    table: MomentTable | None,
+) -> MomentTable:
+    """Check a partition tuple against the family; the given table or a new one."""
+    if len(entries) != f.d:
+        raise ValueError(f"expected {f.d} partitions, got {len(entries)}")
     for sigma in entries:
         if sigma.ground_size != p:
             raise ValueError(f"partition ground size {sigma.ground_size} != {p}")
+    return moment_table(f, p, budget) if table is None else table
 
 
 def phi(
@@ -207,10 +220,7 @@ def phi(
     table: MomentTable | None = None,
 ) -> complex:
     """Sum of alternating moments over exactly the h with kernel tuple eta."""
-    _check_partition_tuple(eta, f.d, p)
-    if table is None:
-        table = moment_table(f, p, budget)
-    return table.phi_map.get(tuple(eta), 0j)
+    return _table_for(f, eta, p, budget, table).phi_map.get(tuple(eta), 0j)
 
 
 def psi(
@@ -221,14 +231,10 @@ def psi(
     table: MomentTable | None = None,
 ) -> complex:
     """Sum of alternating moments over h whose kernels dominate each sigma_k."""
-    _check_partition_tuple(sigmas, f.d, p)
-    if table is None:
-        table = moment_table(f, p, budget)
-    acc = 0j
-    for eta, val in table.phi_map.items():
-        if all(refines(sigmas[k], eta[k]) for k in range(f.d)):
-            acc += val
-    return acc
+    table = _table_for(f, sigmas, p, budget, table)
+    return sum(
+        (val for eta, val in table.phi_map.items() if all(map(refines, sigmas, eta))), 0j
+    )
 
 
 def mobius_decomposition_check(
@@ -248,18 +254,15 @@ def mobius_decomposition_check(
     lhs = table.total
     zero = SetPartition.singletons(p)
     parts = sorted({part for eta in table.phi_map for part in eta})
+    check_budget(sum(map(refinement_count, parts)), budget, "Mobius weight enumeration")
     # weight(eta_k) = sum of mu(0., sigma) over 0. < sigma <= eta_k
-    weight: dict[SetPartition, int] = {}
-    for part in parts:
-        weight[part] = sum(
-            mobius(zero, sigma) for sigma in refinements(part) if sigma != zero
-        )
-    noninjective = 0j
-    for eta, val in table.phi_map.items():
-        w = 1
-        for part in eta:
-            w *= weight[part]
-        noninjective += w * val
+    weight = {
+        part: sum(mobius(zero, sigma) for sigma in refinements(part) if sigma != zero)
+        for part in parts
+    }
+    noninjective = sum(
+        (math.prod(map(weight.get, eta)) * val for eta, val in table.phi_map.items()), 0j
+    )
     rhs = table.injective_sum + (-1) ** f.d * noninjective
     return DecompositionReport(
         lhs=lhs,

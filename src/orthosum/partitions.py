@@ -1,5 +1,9 @@
 """Set partitions of {1..m}: lattice enumeration, refinement order, Mobius inversion.
 
+Block membership has one code, the restricted growth string (RGS): entry s-1
+is the index of the block holding s, blocks numbered by least element.  It is
+read off values by ``kernel_code`` and off a partition by ``SetPartition.rgs``.
+
 Everything here is exact integer combinatorics on immutable values, so all
 operations are safe to call concurrently and identity sweeps can be split
 across workers with order-independent integer accumulation.
@@ -33,22 +37,14 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        elements = [e for block in self.blocks for e in block]
-        if len(elements) != self.ground_size or set(elements) != set(
-            range(1, self.ground_size + 1)
-        ):
+        elements = sorted([e for block in self.blocks for e in block])
+        if not all(self.blocks) or elements != list(range(1, self.ground_size + 1)):
             raise ValueError(
                 f"blocks {self.blocks} do not partition 1..{self.ground_size}"
             )
-        least = None
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if list(block) != sorted(block):
-                raise ValueError(f"block {block} not ascending")
-            if least is not None and block[0] < least:
-                raise ValueError("blocks not ordered by least element")
-            least = block[0]
+        # disjoint blocks sort by least element
+        if sorted(map(sorted, self.blocks)) != list(map(list, self.blocks)):
+            raise ValueError(f"blocks {self.blocks} are not in canonical order")
 
     @classmethod
     def from_blocks(
@@ -74,13 +70,18 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_map(self) -> dict[int, int]:
-        """Element -> position of its block in the canonical ordering."""
-        out = {}
+    @property
+    def rgs(self) -> tuple[int, ...]:
+        """The restricted growth string: entry s-1 is the index of the block holding s."""
+        out = [0] * self.ground_size
         for i, block in enumerate(self.blocks):
             for e in block:
-                out[e] = i
-        return out
+                out[e - 1] = i
+        return tuple(out)
+
+    def block_map(self) -> dict[int, int]:
+        """Element -> position of its block in the canonical ordering."""
+        return dict(enumerate(self.rgs, start=1))
 
     def singleton_elements(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.blocks if len(b) == 1)
@@ -107,7 +108,15 @@ def _rgs_strings(m: int):
             b[j] = top
 
 
+def _check_enumerable(m: int) -> None:
+    if not 1 <= m <= MAX_ENUMERATION_SIZE:
+        raise SizeLimitError(
+            f"partition enumeration supports 1 <= m <= {MAX_ENUMERATION_SIZE}, got {m}"
+        )
+
+
 def _from_rgs(rgs: Sequence[int]) -> SetPartition:
+    """The partition whose code is ``rgs``; inverse of :attr:`SetPartition.rgs`."""
     blocks: list[list[int]] = []
     for pos, label in enumerate(rgs, start=1):
         if label == len(blocks):
@@ -125,10 +134,7 @@ def all_partitions(m: int) -> list[SetPartition]:
     all-singletons partition comes first and {{1..m}} comes last; it is stable
     across runs.
     """
-    if not 1 <= m <= MAX_ENUMERATION_SIZE:
-        raise SizeLimitError(
-            f"partition enumeration supports 1 <= m <= {MAX_ENUMERATION_SIZE}, got {m}"
-        )
+    _check_enumerable(m)
     out = [_from_rgs(r) for r in _rgs_strings(m)]
     out.reverse()
     return out
@@ -141,28 +147,26 @@ def _partitions_cached(m: int) -> tuple[SetPartition, ...]:
 
 @lru_cache(maxsize=1 << 18)
 def refines(rho: SetPartition, sigma: SetPartition) -> bool:
-    """True iff rho <= sigma, i.e. every block of rho sits inside a block of sigma."""
+    """True iff rho <= sigma: each block of rho meets one block of sigma only."""
     if rho.ground_size != sigma.ground_size:
         raise ValueError(
             f"ground sizes differ: {rho.ground_size} vs {sigma.ground_size}"
         )
-    where = sigma.block_map()
-    for block in rho.blocks:
-        target = where[block[0]]
-        if any(where[e] != target for e in block[1:]):
-            return False
-    return True
+    return len(set(zip(rho.rgs, sigma.rgs))) == rho.num_blocks
+
+
+@lru_cache(maxsize=1 << 16)
+def kernel_code(values: tuple[Hashable, ...]) -> tuple[int, ...]:
+    """The RGS of the kernel of ``values``: positions with equal values share a label."""
+    labels: dict[Hashable, int] = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
 
 
 def kernel_partition(values: Sequence[Hashable]) -> SetPartition:
     """Group positions 1..m by equal values: r ~ s iff values[r-1] == values[s-1]."""
     if not values:
         raise ValueError("kernel_partition needs at least one value")
-    groups: dict[Hashable, list[int]] = {}
-    for pos, v in enumerate(values, start=1):
-        groups.setdefault(v, []).append(pos)
-    # insertion order == order of first occurrence == canonical block order
-    return SetPartition(len(values), tuple(tuple(g) for g in groups.values()))
+    return _from_rgs(kernel_code(tuple(values)))
 
 
 def mobius(rho: SetPartition, sigma: SetPartition) -> int:
@@ -173,30 +177,40 @@ def mobius(rho: SetPartition, sigma: SetPartition) -> int:
     """
     if not refines(rho, sigma):
         raise ValueError("mobius requires rho <= sigma")
-    where = sigma.block_map()
+    where = sigma.rgs
     counts = [0] * sigma.num_blocks
     for block in rho.blocks:
-        counts[where[block[0]]] += 1
-    out = 1
-    for n_b in counts:
-        out *= (-1) ** (n_b - 1) * math.factorial(n_b - 1)
-    return out
+        counts[where[block[0] - 1]] += 1
+    return math.prod((-1) ** (n_b - 1) * math.factorial(n_b - 1) for n_b in counts)
+
+
+def bell(m: int) -> int:
+    """|P_m| from B(i+1) = sum over k of C(i, k) B(k), with no partition built."""
+    _check_enumerable(m)
+    b = [1]
+    for i in range(m):
+        b.append(sum(math.comb(i, k) * b[k] for k in range(i + 1)))
+    return b[m]
+
+
+def refinement_count(sigma: SetPartition) -> int:
+    """|[0., sigma]|, the product of Bell(|B|) over the blocks B of sigma."""
+    return math.prod(bell(len(b)) for b in sigma.blocks)
 
 
 def refinements(sigma: SetPartition) -> list[SetPartition]:
     """All rho <= sigma, built blockwise (the interval [0., sigma])."""
-    per_block: list[list[tuple[tuple[int, ...], ...]]] = []
-    for block in sigma.blocks:
-        size = len(block)
-        relabeled = []
-        for q in _partitions_cached(size):
-            relabeled.append(tuple(tuple(block[e - 1] for e in qb) for qb in q.blocks))
-        per_block.append(relabeled)
-    out = []
-    for choice in product(*per_block):
-        blocks = [b for part in choice for b in part]
-        out.append(SetPartition.from_blocks(blocks, sigma.ground_size))
-    return out
+    per_block = [
+        [
+            tuple(tuple(block[e - 1] for e in qb) for qb in q.blocks)
+            for q in _partitions_cached(len(block))
+        ]
+        for block in sigma.blocks
+    ]
+    return [
+        SetPartition.from_blocks([b for part in choice for b in part], sigma.ground_size)
+        for choice in product(*per_block)
+    ]
 
 
 def interval(rho: SetPartition, sigma: SetPartition) -> list[SetPartition]:
@@ -213,18 +227,10 @@ def mobius_recursive(rho: SetPartition, sigma: SetPartition) -> int:
     recursion mu(rho, pi) = -sum of mu(rho, pi') over rho <= pi' < pi.
     No closed form is used, so this cross-checks :func:`mobius`.
     """
-    members = interval(rho, sigma)
-    members.sort(key=lambda p: -p.num_blocks)  # finest first
     values: dict[SetPartition, int] = {}
-    for pi in members:
-        if pi == rho:
-            values[pi] = 1
-            continue
-        acc = 0
-        for prev, val in values.items():
-            if prev != pi and refines(prev, pi):
-                acc += val
-        values[pi] = -acc
+    for pi in sorted(interval(rho, sigma), key=lambda p: -p.num_blocks):  # finest first
+        below = (v for q, v in values.items() if refines(q, pi))
+        values[pi] = 1 if pi == rho else -sum(below)
     return values[sigma]
 
 
@@ -248,13 +254,11 @@ def verify_mobius_identities(m: int) -> MobiusIdentityReport:
     zero = SetPartition.singletons(m)
     parts = _partitions_cached(m)
     abs_sum = sum(abs(mobius(zero, sigma)) for sigma in parts)
-    ok = True
-    for sigma in parts:
-        if sigma == zero:
-            continue
-        if sum(mobius(rho, sigma) for rho in refinements(sigma)) != 0:
-            ok = False
-            break
+    ok = all(
+        sum(mobius(rho, sigma) for rho in refinements(sigma)) == 0
+        for sigma in parts
+        if sigma != zero
+    )
     return MobiusIdentityReport(abs_sum=abs_sum, interval_sums_ok=ok)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -197,6 +198,10 @@ def write(tmp_path, text):
     return str(path)
 
 
+def family_file_spec(tmp_path, text):
+    return spec_file(tmp_path, kind="file", path=write(tmp_path, text), p=4)
+
+
 def nan_family_spec(tmp_path):
     """A file spec holding scalar ones on [4]^1 with NaN at index 1."""
     values = {str(i): {"dim": 1, "entries": [[1.0, 0.0]]} for i in range(1, 5)}
@@ -221,6 +226,22 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
         pytest.param(lambda tmp: ["ortho", "--spec", write(tmp, "5")], id="spec-not-object"),
         pytest.param(lambda tmp: ["sublemma", "--p", "4", "--D", "inf"], id="D-inf"),
         pytest.param(lambda tmp: ["sublemma", "--p", "4", "--D", "nan"], id="D-nan"),
+        pytest.param(lambda tmp: ["ortho", "--spec", family_file_spec(tmp, "5")], id="family-not-object"),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", family_file_spec(tmp, '{"n": 1, "d": 1, "values": 5}')],
+            id="family-values-not-object",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", family_file_spec(tmp, '{"values": {}}')],
+            id="family-without-n",
+        ),
+        pytest.param(
+            lambda tmp: [
+                "factorize", "--spec", spec_file(tmp, kind="random_matrix", n=2, d=1, p=2),
+                "--sigmas", write(tmp, "5"),
+            ],
+            id="sigmas-not-list",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
@@ -241,3 +262,46 @@ def test_non_finite_result_is_not_printed(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("p,D", [(116, "1"), (58, "1000"), (400, "1"), (100000, "1")])
+def test_sublemma_out_of_double_range_exits_2_fast(capsys, p, D):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sublemma", "--p", str(p), "--D", D)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "range" in err
+
+
+@pytest.mark.parametrize(
+    "command,shape",
+    [
+        ("factorize", {"n": 1, "d": 2, "p": 4}),
+        ("factorize", {"n": 1, "d": 3, "p": 6}),
+        ("decompose", {"n": 1, "d": 1, "p": 10}),
+    ],
+)
+def test_partition_sweeps_are_budgeted(tmp_path, capsys, command, shape):
+    spec = spec_file(tmp_path, kind="random_matrix", dim=1, **shape)
+    code, out, err = run(capsys, command, "--spec", spec, "--budget", "100")
+    assert code == 2
+    assert out == ""
+    assert "size limit" in err
+
+
+def test_iteration_sandwich_violation_is_an_assertion_failure(tmp_path, capsys, monkeypatch):
+    from orthosum import lab
+
+    true_c = lab.max_flattening_norm
+    monkeypatch.setattr(lab, "max_flattening_norm", lambda *a, **kw: 0.1 * true_c(*a, **kw))
+    spec = spec_file(tmp_path, kind="rademacher", n=2, d=2, p=4, dim=1, seed=3)
+    code, out, err = run(capsys, "inequality", "--spec", spec)
+    assert code == 1
+    assert err == ""
+    assertions = {a["name"]: a for a in json.loads(out)["assertions"]}
+    upper = assertions["iteration_upper"]
+    assert upper["ok"] is False
+    assert set(upper["witness"]) == {"B", "C", "2^d C"}
+    assert upper["witness"]["B"] > upper["witness"]["2^d C"]
+    assert assertions["iteration_converse"]["ok"] is True

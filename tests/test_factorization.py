@@ -224,3 +224,14 @@ def test_factor_norm_report_carries_factorization_check():
         carried = factor_norm_report(fam, sig, 4, table=table).check
         assert carried == factorization_check(fam, sig, 4, table=table)
         assert carried.psi_direct == psi(fam, sig, 4, table=table)
+
+
+def test_block_anatomy_reads_the_partition_codes():
+    parts = all_partitions(4)
+    for sigmas in product(parts, repeat=2):
+        anatomy = BlockAnatomy.from_sigmas(sigmas)
+        for k, sigma in enumerate(sigmas):
+            assert anatomy.block_index[k] == sigma.rgs
+            for block in sigma.blocks:
+                for r, s in enumerate(block, start=1):
+                    assert anatomy.block_rank[k][s - 1] == r

@@ -7,13 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orthosum.errors import SizeLimitError
+from itertools import islice
+
 from orthosum.freegroup import (
     Word,
     WordFamily,
     WordTuple,
+    _index_functions,
     canonical_dissociate,
     format_word,
     gamma_indices,
+    has_injective_projection,
     inverse,
     is_p_dissociate,
     parse_word,
@@ -21,6 +25,8 @@ from orthosum.freegroup import (
     word_family_to_json,
     word_multiply,
 )
+from orthosum.orthogonality import sigma_of
+from orthosum.partitions import kernel_code, kernel_partition
 
 letters = st.lists(
     st.tuples(st.integers(1, 3), st.sampled_from((-1, 1))), max_size=12
@@ -166,3 +172,21 @@ def test_family_json_roundtrip(tmp_path):
 
 def test_gamma_indices_are_lexicographic():
     assert gamma_indices(2, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 2), st.sampled_from((2, 4)), st.integers(0, 10**6)
+)
+def test_index_functions_carry_the_kernel_code_of_each_column(n, d, p, pick):
+    h, codes = next(islice(_index_functions(n, d, p, 10**7, "t"), pick % n ** (d * p), None))
+    assert len(codes) == d
+    for k in range(d):
+        column = tuple(gamma[k] for gamma in h)
+        assert codes[k] == kernel_code(column)
+        assert kernel_partition(codes[k]) == sigma_of(h, k + 1)
+        # positions share a label exactly when they share a value
+        for s in range(p):
+            for t in range(p):
+                assert (codes[k][s] == codes[k][t]) == (column[s] == column[t])
+    injective = any(len({gamma[k] for gamma in h}) == p for k in range(d))
+    assert (tuple(range(p)) in codes) == injective == has_injective_projection(h, d)

@@ -403,3 +403,28 @@ def test_spec_without_kind_is_a_value_error():
 def test_root_rejects_non_finite_D(D):
     with pytest.raises(ValueError):
         sublemma_root_check(4, D)
+
+
+def test_sandwich_verdicts_are_carried_by_the_report_and_raised_by_quantities(monkeypatch):
+    from orthosum import lab
+
+    fam = make_family(FamilySpec("rademacher", n=2, d=2, p=4, seed=3))
+    report = main_inequality_report(fam, 4)
+    assert report.upper_ok is True and report.converse_ok is True
+    true_c = lab.max_flattening_norm
+    monkeypatch.setattr(lab, "max_flattening_norm", lambda *a, **kw: 0.1 * true_c(*a, **kw))
+    report = main_inequality_report(fam, 4)
+    assert report.upper_ok is False and report.converse_ok is True
+    with pytest.raises(RuntimeError, match="sandwich"):
+        compute_quantities(fam, 4)
+
+
+@pytest.mark.parametrize("p,D", [(116, 1.0), (58, 1000.0), (400, 1.0), (100000, 1.0), (4, 1e-90)])
+def test_root_rejects_polynomials_outside_the_double_range(p, D):
+    with pytest.raises(ValueError, match="range"):
+        sublemma_root_check(p, D)
+
+
+@pytest.mark.parametrize("p,D", [(58, 1.0), (4, 1e-60), (10, 3.0)])
+def test_root_near_the_range_edges_still_bounded(p, D):
+    assert sublemma_root_check(p, D).bound_ok

@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 from orthosum.errors import SizeLimitError
 from orthosum.partitions import (
     SetPartition,
+    _from_rgs,
     all_partitions,
+    bell,
     format_partition,
+    kernel_code,
     kernel_partition,
     mobius,
     mobius_recursive,
     parse_partition,
+    refinement_count,
     refinements,
     refines,
     verify_mobius_identities,
@@ -222,3 +226,49 @@ def test_partition_text_explicit_size_must_cover():
         parse_partition("m=5:1,3|2|4")  # 5 missing
     with pytest.raises(ValueError):
         parse_partition("")
+
+
+# --- the restricted growth string is the one block-membership code ----------
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_rgs_round_trips_every_partition(m):
+    for s in all_partitions(m):
+        assert _from_rgs(s.rgs) == s
+        assert s.block_map() == {e: i for i, b in enumerate(s.blocks) for e in b}
+
+
+def test_kernel_code_examples():
+    assert kernel_code((5, 9, 5, 2)) == (0, 1, 0, 2)
+    assert kernel_code(("b", "a", "b")) == (0, 1, 0)
+    assert kernel_code((7,)) == (0,)
+    # an RGS is its own kernel code
+    for s in all_partitions(5):
+        assert kernel_code(s.rgs) == s.rgs
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_refines_matches_block_containment(m):
+    parts = all_partitions(m)
+    for a in parts:
+        for b in parts:
+            contained = all(
+                any(set(block) <= set(big) for big in b.blocks) for block in a.blocks
+            )
+            assert refines(a, b) == contained
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_bell_matches_enumeration(m):
+    assert bell(m) == len(all_partitions(m)) == bell_oracle(m)
+
+
+def test_bell_size_limit():
+    with pytest.raises(SizeLimitError):
+        bell(13)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_refinement_count_matches_refinements(m):
+    for sigma in all_partitions(m):
+        assert refinement_count(sigma) == len(refinements(sigma))
