@@ -24,7 +24,7 @@ from .algebra import (
     ga_trace,
     schatten_even_norm,
 )
-from .errors import DEFAULT_BUDGET, KindError
+from .errors import DEFAULT_BUDGET, KindError, check_budget
 from .freegroup import Word, WordTuple
 from .orthogonality import MomentTable, psi
 from .partitions import SetPartition
@@ -134,7 +134,10 @@ def _slot_layout(anatomy: BlockAnatomy) -> tuple[int, dict[tuple[int, int], int]
 
 
 def build_factors(
-    f: OperatorFamily, sigmas: Sequence[SetPartition], p: int
+    f: OperatorFamily,
+    sigmas: Sequence[SetPartition],
+    p: int,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[GroupAlgebraElement]:
     """The factors F_1..F_p realizing the dominated moment sum as one trace.
 
@@ -142,11 +145,18 @@ def build_factors(
     assigned to that block, the telescoping word of xi_r; singleton blocks
     contribute nothing.  The coefficient of F_s is f_gamma* for odd s and
     f_gamma for even s, and coefficients of indices that agree on every
-    non-singleton coordinate merge by addition.
+    non-singleton coordinate merge by addition.  The p * n^d terms are
+    charged to the budget before any is built.
     """
+    return _build_factors(f, BlockAnatomy.from_sigmas(sigmas), p, budget)
+
+
+def _build_factors(
+    f: OperatorFamily, anatomy: BlockAnatomy, p: int, budget: int
+) -> list[GroupAlgebraElement]:
+    """:func:`build_factors` on the anatomy of the partition tuple."""
     if f.kind != MATRIX:
         raise KindError("factor construction needs a matrix-valued family")
-    anatomy = BlockAnatomy.from_sigmas(sigmas)
     if anatomy.d != f.d or anatomy.p != p:
         raise ValueError(
             f"partition tuple shape ({anatomy.d}, {anatomy.p}) does not match "
@@ -155,6 +165,7 @@ def build_factors(
     for sigma in anatomy.sigmas:
         if sigma.num_blocks == p:
             raise ValueError("every partition must exceed the all-singleton one")
+    check_budget(p * f.n**f.d, budget, "factor term construction")
     total, offsets = _slot_layout(anatomy)
     dim = f.coeff_dim
     factors = []
@@ -207,7 +218,7 @@ def factorization_check(
 ) -> FactorizationReport:
     """Dominated moment sum versus the trace of the ordered factor product."""
     psi_direct = psi(f, sigmas, p, budget, table)
-    return _factorization_report(psi_direct, build_factors(f, sigmas, p))
+    return _factorization_report(psi_direct, build_factors(f, sigmas, p, budget))
 
 
 @dataclass(frozen=True)
@@ -240,11 +251,12 @@ def factor_norm_report(
 
     Factors at common-singleton positions must match the norm of the family
     sum exactly; the product of all factor norms must dominate the absolute
-    value of the factored sum.  The factors are built once, and the report
-    carries the :func:`factorization_check` of the same factors.
+    value of the factored sum.  The block anatomy and the factors are built
+    once, and the report carries the :func:`factorization_check` of the same
+    factors.
     """
     anatomy = BlockAnatomy.from_sigmas(sigmas)
-    factors = build_factors(f, sigmas, p)
+    factors = _build_factors(f, anatomy, p, budget)
     check = _factorization_report(psi(f, sigmas, p, budget, table), factors)
     records = []
     norms_product = 1.0

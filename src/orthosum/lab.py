@@ -54,7 +54,7 @@ from .freegroup import (
     word_family_from_json,
 )
 from .orthogonality import is_p_orthogonal
-from .partitions import SetPartition, all_partitions, mobius
+from .partitions import SetPartition, all_partitions, bell, mobius
 
 FREE_GENERATORS = "free_generators"
 DISSOCIATE = "dissociate"
@@ -517,8 +517,8 @@ def phi_r_bound_check(
     check_even_p(p)
     if d < 1 or not 0 <= r <= p:
         raise ValueError(f"bad (d, r) = ({d}, {r})")
+    check_budget(bell(p) ** d, budget, "partition-tuple enumeration")
     parts = [s for s in all_partitions(p) if s.num_blocks < p]
-    check_budget((len(parts) + 1) ** d, budget, "partition-tuple enumeration")
     zero = SetPartition.singletons(p)
     absmu = {s: abs(mobius(zero, s)) for s in parts}
     singles = {s: frozenset(s.singleton_elements()) for s in parts}

@@ -11,7 +11,12 @@ sums.
 Index functions come from the lexicographic enumerator that also certifies
 dissociate word families, each with the restricted growth strings of its d
 coordinates as kernel codes; h has an injective projection iff one of them is
-0, 1, ..., p-1.  ``MomentTable._moment_fn`` evaluates every moment.
+0, 1, ..., p-1.  These labels depend on (n, d, p) only, so ``MomentTable``
+reads them from a cached table of integer labels and an injective mask.  It
+evaluates the moments of a matrix family as batched prefix products, left to
+right like the single-h evaluator ``MomentTable._moment_fn`` that serves
+group-algebra families, and adds them in the lexicographic order of h.  The
+Mobius weight of each kernel partition is cached once computed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .algebra import (
     ga_multiply,
     ga_trace,
 )
-from .errors import DEFAULT_BUDGET, check_budget
+from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 from .freegroup import _index_functions, has_injective_projection
 from .partitions import (
     SetPartition,
@@ -43,6 +50,10 @@ from .partitions import (
 
 #: An index function: p multi-indices from [n]^d, 1-based.
 IndexFunction = tuple[tuple[int, ...], ...]
+#: Size of one batch of moments: matrix entries of the batched products (4 MiB
+#: of complex128), or index functions of a group-algebra family.  It bounds
+#: the memory of a moment table independently of n^(dp).
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,34 @@ def is_p_orthogonal(
     return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
 
 
+@lru_cache(maxsize=4)
+def _kernel_labels(
+    n: int, d: int, p: int
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[SetPartition, ...], ...]]:
+    """Kernel labels of every h: [p] -> [n]^d, in lexicographic order.
+
+    Returns the label of each h (int32; labels number the distinct kernel
+    tuples by first appearance), whether h has an injective projection, and
+    the kernel tuple of each label.  The caller checks p and the budget.
+    """
+    count = n ** (d * p)
+    ids: dict[tuple[tuple[int, ...], ...], int] = {}
+    index_functions = _index_functions(n, d, p, count, "index-function enumeration")
+    labels = np.fromiter(
+        (ids.setdefault(codes, len(ids)) for _, codes in index_functions), np.int32, count
+    )
+    injective = np.array([tuple(range(p)) in codes for codes in ids])[labels]
+    labels.flags.writeable = injective.flags.writeable = False
+    # an RGS is its own kernel code, so each distinct code is built once
+    parts = {c: kernel_partition(c) for c in {c for codes in ids for c in codes}}
+    return labels, injective, tuple(tuple(parts[c] for c in codes) for codes in ids)
+
+
+def _running_sum(start: complex, values: np.ndarray) -> complex:
+    """start + values[0] + values[1] + ..., one addition at a time, in order."""
+    return complex(np.add.accumulate(np.append(start, values))[-1])
+
+
 class MomentTable:
     """All alternating moments of a family at fixed p, grouped by kernel tuple.
 
@@ -119,6 +158,8 @@ class MomentTable:
       the family sum);
     * ``injective_sum``: the sub-sum over h with an injective projection;
     * ``phi_map``: kernel tuple -> sum of moments of the h with that kernel.
+
+    Every sum adds its moments one at a time in the lexicographic order of h.
     """
 
     def __init__(
@@ -128,32 +169,71 @@ class MomentTable:
         budget: int = DEFAULT_BUDGET,
         adjoint_first: bool = True,
     ):
-        index_functions = _index_functions(
-            f.n, f.d, p, budget, "index-function enumeration"
-        )
+        check_even_p(p)
+        self.count = f.n ** (f.d * p)
+        check_budget(self.count, budget, "index-function enumeration")
         self.family = f
         self.p = p
         self.adjoint_first = adjoint_first
 
-        moment = self._moment_fn(f, adjoint_first)
-        total = injective = 0j
-        injective_code = tuple(range(p))
-        by_code: dict[tuple[tuple[int, ...], ...], complex] = {}
-        for h, codes in index_functions:
-            m = moment(h)
-            total += m
-            by_code[codes] = by_code.get(codes, 0j) + m
-            if injective_code in codes:
-                injective += m
-        # an RGS is its own kernel code, so each distinct code is built once
-        parts = {c: kernel_partition(c) for c in {c for codes in by_code for c in codes}}
-        phi_map = {
-            tuple(parts[c] for c in codes): val for codes, val in by_code.items()
-        }
+        labels, injective, kernels = _kernel_labels(f.n, f.d, p)
+        moments = self._matrix_moments if f.kind == MATRIX else self._group_algebra_moments
+        total = injective_sum = 0j
+        phi = np.zeros(len(kernels), dtype=complex)
+        lo = 0
+        for block in moments(f, p, adjoint_first):
+            hi = lo + len(block)
+            total = _running_sum(total, block)
+            injective_sum = _running_sum(injective_sum, block[injective[lo:hi]])
+            np.add.at(phi, labels[lo:hi], block)
+            lo = hi
         self.total = total
-        self.injective_sum = injective
-        self.phi_map = phi_map
-        self.count = f.n ** (f.d * p)
+        self.injective_sum = injective_sum
+        self.phi_map = dict(zip(kernels, phi.tolist()))
+
+    @staticmethod
+    def _matrix_moments(
+        f: OperatorFamily, p: int, adjoint_first: bool
+    ) -> Iterator[np.ndarray]:
+        """Moments of a matrix family, lexicographic in h, in runs of h.
+
+        A run holds the products of its prefixes; one step appends a position,
+        (m, dim, dim) -> (m * K, dim, dim) with K = n^d, so every product is
+        multiplied out left to right as in :meth:`_moment_fn`.  A run is split
+        on its leading prefixes until its products hold at most _BLOCK
+        entries (or its prefixes are complete).
+        """
+        values = np.stack([f.values[g] for g in f.gammas()])
+        adj = values.conj().swapaxes(1, 2).copy()
+        odd, even = (adj, values) if adjoint_first else (values, adj)
+        k, dim = values.shape[:2]
+
+        def step(acc: np.ndarray, s: int) -> np.ndarray:
+            factor = even if s % 2 else odd
+            return (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
+
+        def runs(acc: np.ndarray, s: int) -> Iterator[np.ndarray]:
+            # acc: the products of the prefixes of length s that open the run
+            if s < p and len(acc) * k ** (p - s) * dim * dim > _BLOCK:
+                for i in range(len(acc)):
+                    yield from runs(step(acc[i : i + 1], s), s + 1)
+                return
+            for t in range(s, p):
+                acc = step(acc, t)
+            yield np.trace(acc, axis1=1, axis2=2) / dim
+
+        return runs(odd, 1)
+
+    @classmethod
+    def _group_algebra_moments(
+        cls, f: OperatorFamily, p: int, adjoint_first: bool
+    ) -> Iterator[np.ndarray]:
+        """Moments of a group-algebra family, one h at a time, in blocks of _BLOCK."""
+        moment = cls._moment_fn(f, adjoint_first)
+        what = "index-function enumeration"
+        hs = (h for h, _ in _index_functions(f.n, f.d, p, f.n ** (f.d * p), what))
+        while block := [moment(h) for h in islice(hs, _BLOCK)]:
+            yield np.array(block, dtype=complex)
 
     @staticmethod
     def _moment_fn(f: OperatorFamily, adjoint_first: bool):
@@ -237,6 +317,13 @@ def psi(
     )
 
 
+@lru_cache(maxsize=1 << 12)
+def _mobius_weight(part: SetPartition) -> int:
+    """Sum of mu(0., sigma) over 0. < sigma <= part, computed once per partition."""
+    zero = SetPartition.singletons(part.ground_size)
+    return sum(mobius(zero, sigma) for sigma in refinements(part) if sigma != zero)
+
+
 def mobius_decomposition_check(
     f: OperatorFamily,
     p: int,
@@ -252,16 +339,11 @@ def mobius_decomposition_check(
     """
     table = moment_table(f, p, budget, adjoint_first)
     lhs = table.total
-    zero = SetPartition.singletons(p)
-    parts = sorted({part for eta in table.phi_map for part in eta})
+    parts = {part for eta in table.phi_map for part in eta}
     check_budget(sum(map(refinement_count, parts)), budget, "Mobius weight enumeration")
-    # weight(eta_k) = sum of mu(0., sigma) over 0. < sigma <= eta_k
-    weight = {
-        part: sum(mobius(zero, sigma) for sigma in refinements(part) if sigma != zero)
-        for part in parts
-    }
     noninjective = sum(
-        (math.prod(map(weight.get, eta)) * val for eta, val in table.phi_map.items()), 0j
+        (math.prod(map(_mobius_weight, eta)) * val for eta, val in table.phi_map.items()),
+        0j,
     )
     rhs = table.injective_sum + (-1) ** f.d * noninjective
     return DecompositionReport(

@@ -290,6 +290,20 @@ def test_partition_sweeps_are_budgeted(tmp_path, capsys, command, shape):
     assert "size limit" in err
 
 
+def test_factorize_charges_the_factor_terms_to_the_budget(tmp_path, capsys):
+    # one index function fits a budget of 1, the p * n^d = 2 factor terms do not
+    spec = spec_file(tmp_path, kind="random_matrix", n=1, d=1, p=2, dim=1, seed=3)
+    sigmas = tmp_path / "sigmas.json"
+    sigmas.write_text(json.dumps(["1,2"]))
+    argv = ["factorize", "--spec", spec, "--sigmas", str(sigmas)]
+    code, _, _ = run(capsys, *argv, "--budget", "2")
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--budget", "1")
+    assert code == 2
+    assert out == ""
+    assert "size limit" in err and "factor term" in err
+
+
 def test_iteration_sandwich_violation_is_an_assertion_failure(tmp_path, capsys, monkeypatch):
     from orthosum import lab
 

@@ -13,7 +13,7 @@ from orthosum.algebra import (
     ga_trace,
     schatten_even_norm,
 )
-from orthosum.errors import KindError
+from orthosum.errors import KindError, SizeLimitError
 from orthosum.factorization import (
     BlockAnatomy,
     FactorRecord,
@@ -235,3 +235,33 @@ def test_block_anatomy_reads_the_partition_codes():
             for block in sigma.blocks:
                 for r, s in enumerate(block, start=1):
                     assert anatomy.block_rank[k][s - 1] == r
+
+
+def test_factor_norm_report_builds_the_block_anatomy_once(monkeypatch):
+    fam = random_family(2, 2, 2, seed=8)
+    table = moment_table(fam, 4)
+    built = []
+    original = BlockAnatomy.from_sigmas
+
+    def counting(cls, sigmas):
+        built.append(tuple(sigmas))
+        return original(sigmas)
+
+    monkeypatch.setattr(BlockAnatomy, "from_sigmas", classmethod(counting))
+    sig = (SetPartition.from_blocks([[1, 2], [3], [4]]), SetPartition.one_block(4))
+    factor_norm_report(fam, sig, 4, table=table)
+    assert built == [sig]
+
+
+def test_factor_construction_is_budgeted():
+    fam = random_family(2, 2, 2, seed=9)
+    table = moment_table(fam, 4)
+    sig = (SetPartition.one_block(4), SetPartition.from_blocks([[1, 3], [2, 4]]))
+    needed = 4 * 2**2
+    assert len(build_factors(fam, sig, 4, budget=needed)) == 4
+    with pytest.raises(SizeLimitError, match="factor term"):
+        build_factors(fam, sig, 4, budget=needed - 1)
+    with pytest.raises(SizeLimitError, match="factor term"):
+        factorization_check(fam, sig, 4, budget=needed - 1, table=table)
+    with pytest.raises(SizeLimitError, match="factor term"):
+        factor_norm_report(fam, sig, 4, budget=needed - 1, table=table)

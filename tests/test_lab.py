@@ -15,7 +15,7 @@ from orthosum.algebra import (
     schatten_even_norm,
     vv_norm,
 )
-from orthosum.errors import ConstructionError, NotPOrthogonalError
+from orthosum.errors import ConstructionError, NotPOrthogonalError, SizeLimitError
 from orthosum.freegroup import Word, WordFamily, gamma_indices, word_family_to_json
 from orthosum.lab import (
     FamilySpec,
@@ -308,6 +308,16 @@ def test_phi_r_exhaustive_small_grid():
     for d in (1, 2):
         for r in range(4):
             assert phi_r_bound_check(4, d, r).ok
+
+
+def test_phi_r_budget_is_charged_before_any_partition_is_built(monkeypatch):
+    from orthosum import lab
+
+    built = []
+    monkeypatch.setattr(lab, "all_partitions", lambda m: built.append(m) or [])
+    with pytest.raises(SizeLimitError, match="partition-tuple"):
+        phi_r_bound_check(10, 1, 0, budget=1)
+    assert built == []
 
 
 # --- dissociate equivalence and the commutative remark -------------------------

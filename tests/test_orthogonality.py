@@ -332,3 +332,134 @@ def test_nan_coefficient_is_rejected_not_passed():
     with_nan[(1,)] = np.array([[np.nan]])
     with pytest.raises(ValueError, match="non-finite"):
         OperatorFamily(4, 1, MATRIX, with_nan)
+
+
+def sequential_table(fam, p, adjoint_first):
+    """total, injective sum and phi map, adding reference moments one by one."""
+    total = injective = 0j
+    by_kernel = {}
+    for h in all_index_functions(fam.n, fam.d, p):
+        m = reference_moment(fam, h, adjoint_first)
+        total += m
+        if has_injective_projection(h, fam.d):
+            injective += m
+        kernels = delta_of(h)
+        by_kernel[kernels] = by_kernel.get(kernels, 0j) + m
+    return total, injective, by_kernel
+
+
+ORACLE_FAMILIES = [
+    ("random_matrix", 1),
+    ("random_matrix", 2),
+    ("random_matrix", 3),
+    ("rademacher", 1),
+    ("martingale_rademacher", 1),
+    ("martingale_rademacher", 2),
+    ("martingale_rademacher", 3),
+]
+
+
+@pytest.mark.parametrize("n,d,p", [(2, 2, 4), (2, 1, 6)])
+@pytest.mark.parametrize("adjoint_first", [True, False])
+@pytest.mark.parametrize("kind,dim", ORACLE_FAMILIES)
+def test_batched_moment_table_matches_sequential_reference(kind, dim, adjoint_first, n, d, p):
+    fam = make_family(FamilySpec(kind, n=n, d=d, p=p, dim=dim, seed=31 + dim))
+    table = moment_table(fam, p, adjoint_first=adjoint_first)
+    total, injective, by_kernel = sequential_table(fam, p, adjoint_first)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    assert table.count == n ** (d * p)
+    assert close(table.total, total)
+    assert close(table.injective_sum, injective)
+    assert list(table.phi_map) == list(by_kernel)
+    for eta, want in by_kernel.items():
+        assert close(table.phi_map[eta], want), eta
+
+
+@pytest.mark.parametrize("block", [1, 5, 40, 200])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_family(2, 2, 3, seed=41),
+        lambda: make_family(FamilySpec("free_generators", n=2, d=2, p=4)),
+    ],
+    ids=["matrix", "group_algebra"],
+)
+def test_moment_table_in_many_blocks_equals_one_block(monkeypatch, make, block):
+    from orthosum import orthogonality
+
+    fam = make()
+    whole = moment_table(fam, 4)
+    monkeypatch.setattr(orthogonality, "_BLOCK", block)
+    moments = (
+        orthogonality.MomentTable._matrix_moments
+        if fam.kind == MATRIX
+        else orthogonality.MomentTable._group_algebra_moments
+    )
+    runs = [len(run) for run in moments(fam, 4, True)]
+    assert len(runs) > 1 and sum(runs) == 4**4
+    # a run's products hold at most `block` entries, or it is one prefix's K completions
+    entries = fam.coeff_dim**2 if fam.kind == MATRIX else 1
+    assert max(runs) * entries <= max(block, 4 * entries)
+    split = moment_table(fam, 4)
+    assert (split.total, split.injective_sum) == (whole.total, whole.injective_sum)
+    assert list(split.phi_map.items()) == list(whole.phi_map.items())
+
+
+def test_families_of_one_shape_share_labels_but_not_results():
+    from orthosum.orthogonality import _kernel_labels
+
+    _kernel_labels.cache_clear()
+    first, second = random_family(2, 2, 2, seed=51), random_family(2, 2, 2, seed=52)
+    tables = [moment_table(fam, 4) for fam in (first, second)]
+    info = _kernel_labels.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert tables[0].total != tables[1].total
+    for fam, table in zip((first, second), tables):
+        total, injective, by_kernel = sequential_table(fam, 4, True)
+        assert abs(table.total - total) <= 1e-12 * abs(total)
+        assert abs(table.injective_sum - injective) <= 1e-12 * abs(injective)
+        assert table.phi_map.keys() == by_kernel.keys()
+    labels, injective, _ = _kernel_labels(2, 2, 4)
+    assert labels.dtype == np.int32 and injective.dtype == np.bool_
+    with pytest.raises(ValueError):
+        labels[0] = 1
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cached_mobius_weight_equals_a_fresh_sum(m):
+    from orthosum.orthogonality import _mobius_weight
+    from orthosum.partitions import mobius, refinements
+
+    zero = SetPartition.singletons(m)
+    for eta in all_partitions(m):
+        fresh = sum(mobius(zero, s) for s in refinements(eta) if s != zero)
+        assert _mobius_weight(eta) == fresh == (0 if eta == zero else -1), eta
+
+
+def test_cached_mobius_weights_are_still_charged_to_the_budget():
+    fam = random_family(1, 1, 1, seed=53)
+    mobius_decomposition_check(fam, 6)  # every weight of this shape is cached now
+    with pytest.raises(SizeLimitError, match="Mobius weight"):
+        mobius_decomposition_check(fam, 6, budget=100)
+
+
+def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
+    from orthosum.orthogonality import MomentTable
+
+    calls = []
+    original = MomentTable._moment_fn
+
+    def spy(f, adjoint_first):
+        calls.append(f.kind)
+        return original(f, adjoint_first)
+
+    monkeypatch.setattr(MomentTable, "_moment_fn", staticmethod(spy))
+    for adjoint_first in (True, False):
+        MomentTable(random_family(2, 2, 3, seed=54), 6, adjoint_first=adjoint_first)
+    mobius_decomposition_check(random_family(2, 1, 2, seed=55), 4)
+    assert calls == []
+    MomentTable(make_family(FamilySpec("free_generators", n=2, d=1, p=4)), 4)
+    assert calls == [GROUP_ALGEBRA]
