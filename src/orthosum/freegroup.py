@@ -1,7 +1,9 @@
 """Reduced words in free groups, tuples in direct powers, and p-dissociate families.
 
 Words are kept fully reduced at all times; reduction happens on the fly during
-multiplication, since everything downstream keys on exact word identity.
+multiplication, since everything downstream keys on exact word identity.  A
+word family is certified p-dissociate by the prefix walk of
+:mod:`orthosum.orthogonality`, with its words as unit-coefficient monomials.
 """
 
 from __future__ import annotations
@@ -204,19 +206,20 @@ def is_p_dissociate(
 
     For every h: [p] -> [n]^d with some injective coordinate, the alternating
     product t(h1)^-1 t(h2) t(h3)^-1 ... t(hp) must differ from the identity.
-    On failure the witness is one violating h.
+    As monomials with coefficient 1, the words have moment 1 exactly on such an
+    identity product.  On failure the witness is the first violating h.
     """
-    injective, what = tuple(range(p)), "dissociate enumeration"
-    for h, codes in _index_functions(family.n, family.d, p, budget, what):
-        if injective not in codes:
-            continue
-        acc = Word()
-        for s, gamma in enumerate(h, start=1):
-            w = family.words[gamma]
-            acc = acc * (w.inverse() if s % 2 else w)
-        if acc.is_identity:
-            return DissociateReport(ok=False, witness=h)
-    return DissociateReport(ok=True)
+    from .algebra import GROUP_ALGEBRA, GroupAlgebraElement, OperatorFamily
+    from .orthogonality import _injective_moments
+
+    group_n = max(w.max_generator for w in family.words.values())
+    values = {
+        gamma: GroupAlgebraElement.monomial(1, group_n, WordTuple((w,)), [[1.0]])
+        for gamma, w in family.words.items()
+    }
+    units = OperatorFamily(family.n, family.d, GROUP_ALGEBRA, values)
+    report = _injective_moments(units, p, 0.0, budget, True, "dissociate enumeration")
+    return DissociateReport(ok=report.worst_h is None, witness=report.worst_h)
 
 
 def word_family_to_json(family: WordFamily) -> dict[str, str]:

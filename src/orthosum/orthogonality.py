@@ -8,25 +8,23 @@ coordinate, and the decomposition identity rewrites the full moment sum as the
 injective-projection part plus a signed Mobius combination of the dominated
 sums.
 
-Index functions come from the lexicographic enumerator that also certifies
-dissociate word families, each with the restricted growth strings of its d
-coordinates as kernel codes; h has an injective projection iff one of them is
-0, 1, ..., p-1.  These labels depend on (n, d, p) only, so ``MomentTable``
-reads them from a cached table of integer labels and an injective mask.  It
-evaluates the moments of a matrix family as batched prefix products, left to
-right like the single-h evaluator ``MomentTable._moment_fn`` that serves
-group-algebra families, and adds them in the lexicographic order of h.  The
+Every moment comes from one walk over the tree of h-prefixes, which forms
+each prefix product once and shares it with every h that extends it:
+``MomentTable`` walks every h, ``is_p_orthogonal`` (and with it
+``freegroup.is_p_dissociate``) only the prefixes that still have an injective
+coordinate, and ``alternating_moment`` a single h.  The kernel labels of h,
+the restricted growth strings of its d coordinates, depend on (n, d, p) only,
+so ``MomentTable`` reads them from a cached table of integer labels and an
+injective mask, and adds the moments in the lexicographic order of h.  The
 Mobius weight of each kernel partition is cached once computed.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +48,9 @@ from .partitions import (
 
 #: An index function: p multi-indices from [n]^d, 1-based.
 IndexFunction = tuple[tuple[int, ...], ...]
-#: Size of one batch of moments: matrix entries of the batched products (4 MiB
-#: of complex128), or index functions of a group-algebra family.  It bounds
-#: the memory of a moment table independently of n^(dp).
+#: Size of one run of the prefix walk, in coefficient entries of its products
+#: (4 MiB of complex128).  It bounds the memory of a moment table
+#: independently of n^(dp).
 _BLOCK = 1 << 18
 
 
@@ -91,7 +89,30 @@ def alternating_moment(
     """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp)."""
     if len(h) % 2:
         raise ValueError("index functions must have even length")
-    return MomentTable._moment_fn(f, adjoint_first)(tuple(h))
+    h = tuple(h)
+    ((_, moments),) = _prefix_walk(f, len(h), adjoint_first, lambda pre: pre == h[: len(pre)])
+    return complex(moments[0])
+
+
+def _injective_moments(
+    f: OperatorFamily, p: int, tol: float, budget: int, adjoint_first: bool, what: str
+) -> MomentReport:
+    """:func:`is_p_orthogonal`, with the budget charged as ``what``."""
+    check_even_p(p)
+    check_budget(f.n ** (f.d * p), budget, what)
+    # a coordinate injective on [p] is injective on every prefix: the pruning is exact
+    live = lambda prefix: f.n >= p and has_injective_projection(prefix, f.d)
+    worst: IndexFunction | None = None
+    worst_abs = 0.0
+    count = 0
+    for hs, moments in _prefix_walk(f, p, adjoint_first, live):
+        count += len(hs)
+        for h, moment in zip(hs, moments.tolist()):
+            if abs(moment) > worst_abs:
+                worst_abs, worst = abs(moment), h
+    if worst_abs <= tol:
+        worst = None
+    return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
 
 
 def is_p_orthogonal(
@@ -102,23 +123,73 @@ def is_p_orthogonal(
     adjoint_first: bool = True,
 ) -> MomentReport:
     """Largest alternating moment over index functions with an injective projection."""
-    index_functions = _index_functions(f.n, f.d, p, budget, "index-function enumeration")
-    moment = MomentTable._moment_fn(f, adjoint_first)
-    worst: IndexFunction | None = None
-    worst_abs = 0.0
-    count = 0
-    injective = tuple(range(p))
-    for h, codes in index_functions:
-        if injective not in codes:
-            continue
-        count += 1
-        val = abs(moment(h))
-        if val > worst_abs:
-            worst_abs = val
-            worst = h
-    if worst_abs <= tol:
-        worst = None
-    return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
+    return _injective_moments(f, p, tol, budget, adjoint_first, "index-function enumeration")
+
+
+def _prefix_walk(
+    f: OperatorFamily,
+    p: int,
+    adjoint_first: bool,
+    keep: Callable[[IndexFunction], bool] | None = None,
+) -> Iterator[tuple[list[IndexFunction] | None, np.ndarray]]:
+    """Runs of alternating moments of f, lexicographic in h, each with its h.
+
+    A prefix product is its parent's product times one factor, so every moment
+    is multiplied out left to right.  Matrices multiply as numpy stacks,
+    ``acc[:, None] @ factor[None, :]``, group-algebra elements as object arrays
+    through the outer product of ``ga_multiply``.  With ``keep=None`` every h
+    is walked, a run broadcast over the completions of one prefix (h None)
+    within _BLOCK coefficient entries; otherwise only the prefixes ``keep``
+    accepts are grown, one at a time, and ``keep`` must reject every extension
+    of a prefix it rejects.  A non-finite moment raises ValueError naming h.
+    """
+    gammas = f.gammas()
+    k = len(gammas)
+    if f.kind == MATRIX:
+        values = np.stack([f.values[g] for g in gammas])
+        adj = values.conj().swapaxes(1, 2).copy()
+        dim = values.shape[1]
+        entries = dim * dim
+        mul = lambda acc, factor: (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
+        trace = lambda acc: np.trace(acc, axis1=1, axis2=2) / dim
+    else:
+        values = np.array([f.values[g] for g in gammas], dtype=object)
+        adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
+        outer = np.frompyfunc(ga_multiply, 2, 1).outer
+        # a run holds live elements; besides its coefficients, each weighs about
+        # 1 KiB (64 complex entries) as objects
+        entries = 64 + math.prod(values[0].coeff_shape)
+        mul = lambda acc, factor: outer(acc, factor).ravel()
+        trace = lambda acc: np.array([ga_trace(x) for x in acc], dtype=complex)
+    # the factor at 0-based position s is factors[s % 2]
+    factors = (adj, values) if adjoint_first else (values, adj)
+
+    def walk(acc: np.ndarray | None, prefix: IndexFunction) -> Iterator:
+        # acc: the product of prefix as a stack of one, None for the empty prefix
+        s = len(prefix)
+        hs = None
+        if keep is None and k ** (p - s) * entries <= _BLOCK:
+            for t in range(s, p):
+                acc = factors[t % 2] if acc is None else mul(acc, factors[t % 2])
+        else:
+            children = [j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))]
+            factor = factors[s % 2][children]
+            acc = factor if acc is None else mul(acc, factor)
+            hs = [prefix + (gammas[j],) for j in children]
+            if s + 1 < p:
+                for i, h in enumerate(hs):
+                    yield from walk(acc[i : i + 1], h)
+                return
+        moments = trace(acc)
+        finite = np.isfinite(moments)
+        if not finite.all():
+            r = int(finite.argmin())
+            rest = np.unravel_index(r, (k,) * (p - s))
+            h = hs[r] if hs else prefix + tuple(gammas[j] for j in rest)
+            raise ValueError(f"non-finite alternating moment at index function {h}")
+        yield hs, moments
+
+    return walk(None, ())
 
 
 @lru_cache(maxsize=4)
@@ -177,11 +248,10 @@ class MomentTable:
         self.adjoint_first = adjoint_first
 
         labels, injective, kernels = _kernel_labels(f.n, f.d, p)
-        moments = self._matrix_moments if f.kind == MATRIX else self._group_algebra_moments
         total = injective_sum = 0j
         phi = np.zeros(len(kernels), dtype=complex)
         lo = 0
-        for block in moments(f, p, adjoint_first):
+        for _, block in _prefix_walk(f, p, adjoint_first):
             hi = lo + len(block)
             total = _running_sum(total, block)
             injective_sum = _running_sum(injective_sum, block[injective[lo:hi]])
@@ -190,81 +260,6 @@ class MomentTable:
         self.total = total
         self.injective_sum = injective_sum
         self.phi_map = dict(zip(kernels, phi.tolist()))
-
-    @staticmethod
-    def _matrix_moments(
-        f: OperatorFamily, p: int, adjoint_first: bool
-    ) -> Iterator[np.ndarray]:
-        """Moments of a matrix family, lexicographic in h, in runs of h.
-
-        A run holds the products of its prefixes; one step appends a position,
-        (m, dim, dim) -> (m * K, dim, dim) with K = n^d, so every product is
-        multiplied out left to right as in :meth:`_moment_fn`.  A run is split
-        on its leading prefixes until its products hold at most _BLOCK
-        entries (or its prefixes are complete).
-        """
-        values = np.stack([f.values[g] for g in f.gammas()])
-        adj = values.conj().swapaxes(1, 2).copy()
-        odd, even = (adj, values) if adjoint_first else (values, adj)
-        k, dim = values.shape[:2]
-
-        def step(acc: np.ndarray, s: int) -> np.ndarray:
-            factor = even if s % 2 else odd
-            return (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
-
-        def runs(acc: np.ndarray, s: int) -> Iterator[np.ndarray]:
-            # acc: the products of the prefixes of length s that open the run
-            if s < p and len(acc) * k ** (p - s) * dim * dim > _BLOCK:
-                for i in range(len(acc)):
-                    yield from runs(step(acc[i : i + 1], s), s + 1)
-                return
-            for t in range(s, p):
-                acc = step(acc, t)
-            yield np.trace(acc, axis1=1, axis2=2) / dim
-
-        return runs(odd, 1)
-
-    @classmethod
-    def _group_algebra_moments(
-        cls, f: OperatorFamily, p: int, adjoint_first: bool
-    ) -> Iterator[np.ndarray]:
-        """Moments of a group-algebra family, one h at a time, in blocks of _BLOCK."""
-        moment = cls._moment_fn(f, adjoint_first)
-        what = "index-function enumeration"
-        hs = (h for h, _ in _index_functions(f.n, f.d, p, f.n ** (f.d * p), what))
-        while block := [moment(h) for h in islice(hs, _BLOCK)]:
-            yield np.array(block, dtype=complex)
-
-    @staticmethod
-    def _moment_fn(f: OperatorFamily, adjoint_first: bool):
-        """The moment evaluator: h -> trace of the alternating product along h.
-
-        Matrices multiply out left to right; a family of single-term elements
-        chains one word and one coefficient; other elements use ga_multiply.
-        """
-        values = f.values
-        if f.kind == MATRIX:
-            adjoint, mul = (lambda v: v.conj().T), operator.matmul
-            trace = lambda acc: complex(np.trace(acc) / acc.shape[0])
-        elif all(v.term_count == 1 for v in values.values()):
-            values = {g: next(iter(v.terms.items())) for g, v in values.items()}
-            adjoint = lambda pair: (pair[0].inverse(), pair[1].conj().T)
-            mul = lambda a, b: (a[0] * b[0], a[1] @ b[1])
-            trace = lambda acc: (
-                complex(np.trace(acc[1]) / acc[1].shape[0]) if acc[0].is_identity else 0j
-            )
-        else:
-            adjoint, mul, trace = ga_adjoint, ga_multiply, ga_trace
-        adj = {g: adjoint(v) for g, v in values.items()}
-        odd, even = (adj, values) if adjoint_first else (values, adj)
-
-        def moment(h):
-            acc = odd[h[0]]
-            for s in range(1, len(h)):
-                acc = mul(acc, even[h[s]] if s % 2 else odd[h[s]])
-            return trace(acc)
-
-        return moment
 
 
 def moment_table(

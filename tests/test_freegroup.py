@@ -1,6 +1,8 @@
 """Free-group words: reduction laws, text formats, dissociate certification."""
 
 import json
+import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -190,3 +192,52 @@ def test_index_functions_carry_the_kernel_code_of_each_column(n, d, p, pick):
                 assert (codes[k][s] == codes[k][t]) == (column[s] == column[t])
     injective = any(len({gamma[k] for gamma in h}) == p for k in range(d))
     assert (tuple(range(p)) in codes) == injective == has_injective_projection(h, d)
+
+
+def first_identity_word(family, p):
+    """The first injective-projection h whose alternating word product is e."""
+    for h in product(gamma_indices(family.n, family.d), repeat=p):
+        if has_injective_projection(h, family.d):
+            acc = Word()
+            for s, gamma in enumerate(h, start=1):
+                w = family.words[gamma]
+                acc = acc * (w.inverse() if s % 2 else w)
+            if acc.is_identity:
+                return h
+    return None
+
+
+# n >= p and n < p, one and two indices
+@pytest.mark.parametrize("n,d,p", [(2, 1, 2), (4, 1, 4), (3, 2, 2), (2, 2, 4), (3, 1, 4)])
+@pytest.mark.parametrize("seed", range(6))
+def test_dissociate_witness_is_the_first_identity_word(n, d, p, seed):
+    rnd = random.Random(seed)
+    words = {
+        gamma: Word.reduce(
+            [(rnd.randint(1, 2), rnd.choice((-1, 1))) for _ in range(rnd.randint(0, 2))]
+        )
+        for gamma in gamma_indices(n, d)
+    }
+    family = WordFamily(n=n, d=d, words=words)
+    want = first_identity_word(family, p)
+    report = is_p_dissociate(family, p)
+    assert report.ok == (want is None)
+    assert report.witness == want
+
+
+@pytest.mark.parametrize("n,d,p", [(4, 1, 4), (3, 2, 2), (2, 1, 4), (2, 2, 6)])
+def test_dissociate_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
+    from orthosum import orthogonality
+
+    calls = []
+    original = orthogonality.ga_multiply
+    monkeypatch.setattr(
+        orthogonality, "ga_multiply", lambda x, y: calls.append(1) or original(x, y)
+    )
+    assert is_p_dissociate(canonical_dissociate(n, d), p).ok
+    live = sum(
+        has_injective_projection(prefix, d)
+        for s in range(2, p + 1)
+        for prefix in product(gamma_indices(n, d), repeat=s)
+    )
+    assert len(calls) == (live if n >= p else 0)

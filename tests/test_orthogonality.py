@@ -393,12 +393,7 @@ def test_moment_table_in_many_blocks_equals_one_block(monkeypatch, make, block):
     fam = make()
     whole = moment_table(fam, 4)
     monkeypatch.setattr(orthogonality, "_BLOCK", block)
-    moments = (
-        orthogonality.MomentTable._matrix_moments
-        if fam.kind == MATRIX
-        else orthogonality.MomentTable._group_algebra_moments
-    )
-    runs = [len(run) for run in moments(fam, 4, True)]
+    runs = [len(run) for _, run in orthogonality._prefix_walk(fam, 4, True)]
     assert len(runs) > 1 and sum(runs) == 4**4
     # a run's products hold at most `block` entries, or it is one prefix's K completions
     entries = fam.coeff_dim**2 if fam.kind == MATRIX else 1
@@ -447,19 +442,103 @@ def test_cached_mobius_weights_are_still_charged_to_the_budget():
 
 
 def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
+    from orthosum import orthogonality
     from orthosum.orthogonality import MomentTable
 
     calls = []
-    original = MomentTable._moment_fn
+    original = orthogonality._prefix_walk
 
-    def spy(f, adjoint_first):
-        calls.append(f.kind)
-        return original(f, adjoint_first)
+    def spy(f, p, adjoint_first, keep=None):
+        if keep is not None:  # grows selected prefixes one at a time
+            calls.append(f.kind)
+        return original(f, p, adjoint_first, keep)
 
-    monkeypatch.setattr(MomentTable, "_moment_fn", staticmethod(spy))
+    monkeypatch.setattr(orthogonality, "_prefix_walk", spy)
+    free = make_family(FamilySpec("free_generators", n=2, d=1, p=4))
     for adjoint_first in (True, False):
         MomentTable(random_family(2, 2, 3, seed=54), 6, adjoint_first=adjoint_first)
     mobius_decomposition_check(random_family(2, 1, 2, seed=55), 4)
+    MomentTable(free, 4)
     assert calls == []
-    MomentTable(make_family(FamilySpec("free_generators", n=2, d=1, p=4)), 4)
+    alternating_moment(free, ((1,), (2,), (2,), (1,)))
     assert calls == [GROUP_ALGEBRA]
+
+
+def scan_injective(fam, p, adjoint_first):
+    """Largest |reference moment| over the injective h, its first h and their count."""
+    worst, worst_abs, count = None, 0.0, 0
+    for h in all_index_functions(fam.n, fam.d, p):
+        if has_injective_projection(h, fam.d):
+            count += 1
+            val = abs(reference_moment(fam, h, adjoint_first))
+            if val > worst_abs:
+                worst, worst_abs = h, val
+    return worst_abs, worst, count
+
+
+WALK_FAMILIES = {
+    "matrix": lambda n, d, p: random_family(n, d, 2, seed=61 + n + d + p),
+    "free_generators": lambda n, d, p: make_family(
+        FamilySpec("free_generators", n=n, d=d, p=p, dim=2)
+    ),
+    "dissociate": lambda n, d, p: make_family(
+        FamilySpec("dissociate", n=n, d=d, p=p, dim=2, seed=62)
+    ),
+}
+# n >= p and n < p, one and two indices
+WALK_SHAPES = [(3, 1, 2), (4, 1, 4), (2, 2, 2), (2, 1, 4), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+@pytest.mark.parametrize(
+    "kind,n,d,p",
+    [(kind, *shape) for kind in sorted(WALK_FAMILIES) for shape in WALK_SHAPES]
+    + [("multi_term", 2, 1, 2), ("multi_term", 2, 1, 4)],
+)
+def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p, adjoint_first):
+    fam = multi_term_family(25) if kind == "multi_term" else WALK_FAMILIES[kind](n, d, p)
+    report = is_p_orthogonal(fam, p, -1.0, adjoint_first=adjoint_first)
+    worst_abs, worst, count = scan_injective(fam, p, adjoint_first)
+    assert report.count_checked == count
+    assert report.worst_h == worst
+    assert report.max_abs_violation == worst_abs
+
+
+def count_products(monkeypatch):
+    from orthosum import orthogonality
+
+    calls = []
+    original = orthogonality.ga_multiply
+
+    def counted(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(orthogonality, "ga_multiply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("block", [1 << 18, 3])
+@pytest.mark.parametrize("n,d,p", [(2, 1, 4), (2, 2, 4), (3, 1, 2)])
+def test_group_algebra_table_forms_each_prefix_product_once(monkeypatch, n, d, p, block):
+    from orthosum import orthogonality
+
+    fam = make_family(FamilySpec("free_generators", n=n, d=d, p=p))
+    monkeypatch.setattr(orthogonality, "_BLOCK", block)
+    calls = count_products(monkeypatch)
+    moment_table(fam, p)
+    k = n**d
+    assert len(calls) == sum(k**s for s in range(2, p + 1))
+
+
+@pytest.mark.parametrize("n,d,p", [(4, 1, 4), (2, 2, 2), (3, 2, 2), (2, 1, 4), (2, 2, 4)])
+def test_pruned_walk_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
+    fam = make_family(FamilySpec("free_generators", n=n, d=d, p=p))
+    calls = count_products(monkeypatch)
+    is_p_orthogonal(fam, p, 0.0)
+    live = sum(
+        has_injective_projection(prefix, d)
+        for s in range(2, p + 1)
+        for prefix in all_index_functions(n, d, s)
+    )
+    assert len(calls) == (live if n >= p else 0)
