@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p
+from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p, json_int
 from .freegroup import Word, WordTuple, format_word, gamma_indices, parse_word
 
 #: A tracial matrix is a square complex ndarray with trace functional Tr/N.
@@ -370,8 +370,14 @@ def family_sum_norm(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> 
 
 
 def family_scale(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> float:
-    """1 + sum of member norms to the p-th power; the tolerance yardstick."""
-    return 1.0 + sum(_even_norm(v, p, budget) ** p for v in f.values.values())
+    """1 + sum of member norms to the p-th power; the tolerance yardstick.
+
+    A scale that overflows raises ValueError: no tolerance is drawn from it.
+    """
+    scale = 1.0 + sum(_even_norm(v, p, budget) ** p for v in f.values.values())
+    if not np.isfinite(scale):
+        raise ValueError(f"family scale is not finite ({scale}) at p={p}")
+    return scale
 
 
 def _flatten_blocks(f: OperatorFamily, split: SplitPair):
@@ -439,7 +445,7 @@ def matrix_to_json(x) -> dict:
 
 
 def matrix_from_json(obj: Mapping) -> np.ndarray:
-    dim = int(obj["dim"])
+    dim = json_int(obj["dim"], "dim")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
@@ -462,8 +468,8 @@ def ga_to_json(x: GroupAlgebraElement) -> dict:
 
 
 def ga_from_json(obj: Mapping) -> GroupAlgebraElement:
-    arity = int(obj["arity"])
-    n = int(obj["n"])
+    arity = json_int(obj["arity"], "arity")
+    n = json_int(obj["n"], "n")
     terms: dict[WordTuple, np.ndarray] = {}
     shape: tuple[int, int] | None = None
     for item in obj["terms"]:
@@ -492,7 +498,7 @@ def family_from_json(obj: Mapping) -> OperatorFamily:
         and isinstance(obj["values"], Mapping)
     ):
         raise ValueError("a family must be an object with 'n', 'd' and 'values' objects")
-    n, d = int(obj["n"]), int(obj["d"])
+    n, d = json_int(obj["n"], "n"), json_int(obj["d"], "d")
     values: dict[tuple[int, ...], Any] = {}
     kind = None
     for key, payload in obj["values"].items():

@@ -1,4 +1,4 @@
-"""Shared exception types and the desk-scale enumeration budget."""
+"""Shared exception types, the desk-scale enumeration budget and input checks."""
 
 from __future__ import annotations
 
@@ -39,6 +39,13 @@ def check_even_p(p: int) -> None:
     """Raise ValueError unless p is an even integer >= 2."""
     if p < 2 or p % 2:
         raise ValueError(f"p must be an even integer >= 2, got {p}")
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; ValueError for a bool, a float or the like."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def check_budget(count: int, budget: int, what: str) -> None:

@@ -44,6 +44,7 @@ from .errors import (
     NotPOrthogonalError,
     check_budget,
     check_even_p,
+    json_int,
 )
 from .freegroup import (
     Word,
@@ -77,8 +78,10 @@ ONE_INDEX_CONSTANT = 3.0 * math.pi / 2.0
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    """Counter-based Philox generator keyed by a 64-bit seed in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def random_complex_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -131,11 +134,11 @@ class FamilySpec:
             raise ValueError("family spec must be a JSON object with a 'kind'")
         return cls(
             kind=obj["kind"],
-            n=int(obj.get("n", 1)),
-            d=int(obj.get("d", 1)),
-            p=int(obj.get("p", 2)),
-            dim=int(obj.get("dim", 1)),
-            seed=int(obj.get("seed", 0)),
+            n=json_int(obj.get("n", 1), "n"),
+            d=json_int(obj.get("d", 1), "d"),
+            p=json_int(obj.get("p", 2), "p"),
+            dim=json_int(obj.get("dim", 1), "dim"),
+            seed=json_int(obj.get("seed", 0), "seed"),
             path=obj.get("path"),
         )
 

@@ -102,9 +102,7 @@ def _injective_moments(
     check_budget(f.n ** (f.d * p), budget, what)
     # a coordinate injective on [p] is injective on every prefix: the pruning is exact
     live = lambda prefix: f.n >= p and has_injective_projection(prefix, f.d)
-    worst: IndexFunction | None = None
-    worst_abs = 0.0
-    count = 0
+    worst, worst_abs, count = None, 0.0, 0
     for hs, moments in _prefix_walk(f, p, adjoint_first, live):
         count += len(hs)
         for h, moment in zip(hs, moments.tolist()):
@@ -156,40 +154,44 @@ def _prefix_walk(
         values = np.array([f.values[g] for g in gammas], dtype=object)
         adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
         outer = np.frompyfunc(ga_multiply, 2, 1).outer
-        # a run holds live elements; besides its coefficients, each weighs about
-        # 1 KiB (64 complex entries) as objects
+        # a run holds live objects: about 1 KiB (64 entries) each besides coefficients
         entries = 64 + math.prod(values[0].coeff_shape)
         mul = lambda acc, factor: outer(acc, factor).ravel()
         trace = lambda acc: np.array([ga_trace(x) for x in acc], dtype=complex)
     # the factor at 0-based position s is factors[s % 2]
     factors = (adj, values) if adjoint_first else (values, adj)
 
-    def walk(acc: np.ndarray | None, prefix: IndexFunction) -> Iterator:
-        # acc: the product of prefix as a stack of one, None for the empty prefix
-        s = len(prefix)
-        hs = None
-        if keep is None and k ** (p - s) * entries <= _BLOCK:
-            for t in range(s, p):
-                acc = factors[t % 2] if acc is None else mul(acc, factors[t % 2])
-        else:
-            children = [j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))]
-            factor = factors[s % 2][children]
-            acc = factor if acc is None else mul(acc, factor)
-            hs = [prefix + (gammas[j],) for j in children]
-            if s + 1 < p:
-                for i, h in enumerate(hs):
-                    yield from walk(acc[i : i + 1], h)
-                return
-        moments = trace(acc)
-        finite = np.isfinite(moments)
-        if not finite.all():
-            r = int(finite.argmin())
-            rest = np.unravel_index(r, (k,) * (p - s))
-            h = hs[r] if hs else prefix + tuple(gammas[j] for j in rest)
-            raise ValueError(f"non-finite alternating moment at index function {h}")
-        yield hs, moments
+    def runs() -> Iterator:
+        # depth first over (product of prefix as a stack of one or None, prefix); not
+        # recursive, so no closure cycle keeps the factor stacks alive afterwards
+        stack: list = [(None, ())]
+        while stack:
+            acc, prefix = stack.pop()
+            s = len(prefix)
+            hs = None
+            if keep is None and k ** (p - s) * entries <= _BLOCK:
+                for t in range(s, p):
+                    acc = factors[t % 2] if acc is None else mul(acc, factors[t % 2])
+            else:
+                children = [
+                    j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))
+                ]
+                rows = factors[s % 2][children]
+                acc = rows if acc is None else mul(acc, rows)
+                hs = [prefix + (gammas[j],) for j in children]
+                if s + 1 < p:
+                    stack += reversed([(acc[i : i + 1], h) for i, h in enumerate(hs)])
+                    continue
+            moments = trace(acc)
+            finite = np.isfinite(moments)
+            if not finite.all():
+                r = int(finite.argmin())
+                rest = np.unravel_index(r, (k,) * (p - s))
+                h = hs[r] if hs else prefix + tuple(gammas[j] for j in rest)
+                raise ValueError(f"non-finite alternating moment at index function {h}")
+            yield hs, moments
 
-    return walk(None, ())
+    return runs()
 
 
 @lru_cache(maxsize=4)

@@ -412,3 +412,20 @@ def test_non_finite_coefficients_are_rejected():
         x = ga_monomial(1, 2, [Word(((1, 1),))], np.array([[bad]]))
         with pytest.raises(ValueError, match="non-finite"):
             OperatorFamily(2, 1, GROUP_ALGEBRA, {(1,): x, (2,): lam(2)})
+
+
+@pytest.mark.parametrize("value", [True, 1.0, 1.5, "1"])
+def test_family_json_integer_fields_accept_json_integers_only(value):
+    matrix = {"dim": 1, "entries": [[1.0, 0.0]]}
+    element = {"arity": 1, "n": 1, "terms": [{"words": ["g1"], "coeff": matrix}]}
+    family = {"n": 1, "d": 1, "values": {"1": matrix}}
+    assert family_from_json(family).n == 1
+    for parse, obj, field in [
+        (matrix_from_json, matrix, "dim"),
+        (ga_from_json, element, "arity"),
+        (ga_from_json, element, "n"),
+        (family_from_json, family, "n"),
+        (family_from_json, family, "d"),
+    ]:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            parse({**obj, field: value})

@@ -1,5 +1,6 @@
 """CLI: report schema, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -242,6 +243,37 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
             ],
             id="sigmas-not-list",
         ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", spec_file(tmp, kind="rademacher", n=2, d=1, p=4.9)],
+            id="p-float",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", spec_file(tmp, kind="rademacher", n=True, d=1, p=4)],
+            id="n-bool",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", write(tmp, '{"kind": "rademacher", "n": 1e400, "p": 4}')],
+            id="n-overflows",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", spec_file(tmp, kind="rademacher", n=2, p=4, seed=-5)],
+            id="seed-negative",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", spec_file(tmp, kind="rademacher", n=2, p=4, seed=2**65)],
+            id="seed-beyond-64-bits",
+        ),
+        pytest.param(
+            lambda tmp: ["ortho", "--spec", spec_file(tmp, kind="rademacher", n=2, p=4), "--seed", "-5"],
+            id="seed-flag-negative",
+        ),
+        pytest.param(
+            lambda tmp: [
+                "ortho", "--spec",
+                family_file_spec(tmp, '{"n": 1, "d": 1.0, "values": {"1": {"dim": 1, "entries": [[1, 0]]}}}'),
+            ],
+            id="family-d-float",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
@@ -319,3 +351,34 @@ def test_iteration_sandwich_violation_is_an_assertion_failure(tmp_path, capsys, 
     assert set(upper["witness"]) == {"B", "C", "2^d C"}
     assert upper["witness"]["B"] > upper["witness"]["2^d C"]
     assert assertions["iteration_converse"]["ok"] is True
+
+
+def overflowing_family_spec(tmp_path):
+    """A file spec of 2 x 2 members with entries +-1e200 on [4]^1."""
+    entries = [[1e200, 0.0], [-1e200, 0.0], [1e200, 0.0], [1e200, 0.0]]
+    values = {str(i): {"dim": 2, "entries": entries} for i in range(1, 5)}
+    return family_file_spec(tmp_path, json.dumps({"n": 4, "d": 1, "values": values}))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["ortho", "decompose", "inequality", "khintchine"])
+def test_overflowed_family_exits_2(tmp_path, capsys, command, fmt):
+    spec = overflowing_family_spec(tmp_path)
+    code, out, err = run(capsys, command, "--spec", spec, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not finite" in err
+    code, out, err = run(capsys, "ortho", "--spec", spec, "--tol", "1", "--format", fmt)
+    assert code == 2 and "not finite" in err
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    from orthosum import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or argparse.ArgumentParser())
+    for _ in range(2):
+        code, out, _ = run(capsys, "sublemma", "--p", "4", "--D", "1.0")
+        assert code == 0 and json.loads(out)["command"] == "sublemma"
+    assert built == []

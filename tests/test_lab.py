@@ -438,3 +438,32 @@ def test_root_rejects_polynomials_outside_the_double_range(p, D):
 @pytest.mark.parametrize("p,D", [(58, 1.0), (4, 1e-60), (10, 3.0)])
 def test_root_near_the_range_edges_still_bounded(p, D):
     assert sublemma_root_check(p, D).bound_ok
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowed_scale_raises_instead_of_passing():
+    ones = {(i,): np.array([[1e100]]) for i in range(1, 5)}
+    with pytest.raises(ValueError, match="scale is not finite"):
+        khintchine_iteration_check(ones, 4, 1, 4)
+    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
+    fam = OperatorFamily(4, 1, MATRIX, {g: 1e200 * signs for g in gamma_indices(4, 1)})
+    with pytest.raises(ValueError, match="scale is not finite"):
+        main_inequality_report(fam, 4)
+
+
+def test_seeds_outside_64_bits_are_rejected_not_masked():
+    assert make_rng(2**64 - 1).random() == make_rng(2**64 - 1).random()
+    for seed in (-5, -1, 2**64, 2**65):
+        with pytest.raises(ValueError, match="seed"):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="seed"):
+            make_family(FamilySpec("random_matrix", n=2, d=1, p=2, seed=seed))
+
+
+@pytest.mark.parametrize("field", ["n", "d", "p", "dim", "seed"])
+@pytest.mark.parametrize("value", [True, 4.9, 2.0, math.inf, "2"])
+def test_spec_integer_fields_accept_json_integers_only(field, value):
+    obj = {"kind": "random_matrix", "n": 2, "d": 1, "p": 2, "dim": 1, "seed": 0}
+    assert FamilySpec.from_json(obj).n == 2
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        FamilySpec.from_json({**obj, field: value})

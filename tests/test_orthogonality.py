@@ -542,3 +542,18 @@ def test_pruned_walk_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
         for prefix in all_index_functions(n, d, s)
     )
     assert len(calls) == (live if n >= p else 0)
+
+
+def overflowing_family():
+    """2 x 2 members with entries +-1e200: every product of two overflows."""
+    signs = np.array([[1.0, -1.0], [1.0, 1.0]])
+    return OperatorFamily(4, 1, MATRIX, {g: 1e200 * signs for g in gamma_indices(4, 1)})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_overflowed_moment_raises_instead_of_passing():
+    fam = overflowing_family()
+    with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(2,\), \(3,\), \(4,\)\)"):
+        is_p_orthogonal(fam, 4, 1.0)
+    with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(1,\), \(1,\), \(1,\)\)"):
+        moment_table(fam, 4)
