@@ -5,31 +5,43 @@ normalized trace on the coefficient factor and the plain (un-normalized) trace
 on the matrix-unit factor; this is the convention under which the converse of
 the iteration inequality holds with constant 1.
 
-Even-p norms of group-algebra elements read the identity coefficient of
-(x* x)^(p/2), exact up to float rounding, by pairing the half powers
-A = (x* x)^floor(p/4) and B = (x* x)^ceil(p/4) as the sum of A_w B_(w^-1).
-Terms and the pairing are accumulated in lexicographic word order so results
-are reproducible run to run, and coefficients that cancel to exactly zero are
-pruned after every product.
+A group-algebra element keeps its word tuples as sorted integer codes (see
+:mod:`orthosum.freegroup`) beside one stack of coefficients.  A product forms
+its coefficient products by batched matmul and sums those of equal words in
+pair order, the terms of x outer and those of y inner, both in sorted word
+order; each sum runs from its first product, so it is bit for bit the running
+sum of term-by-term accumulation, signed zeros included.  Coefficients that
+cancel to exactly zero are pruned after every product.  Even-p norms read the
+identity coefficient of (x* x)^(p/2), exact up to float rounding, by pairing
+the half powers A = (x* x)^floor(p/4) and B = (x* x)^ceil(p/4) as the sum,
+from +0.0 in sorted word order, of A_w B_(w^-1).  Results are reproducible
+run to run.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p, json_int
-from .freegroup import Word, WordTuple, format_word, gamma_indices, parse_word
+from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p
+from .errors import json_int, json_object
+from .freegroup import WordTuple, code_inverse, code_multiply, format_word
+from .freegroup import gamma_indices, letter_code, parse_word
 
 #: A tracial matrix is a square complex ndarray with trace functional Tr/N.
 TracialMatrix = np.ndarray
 
 MATRIX = "matrix"
 GROUP_ALGEBRA = "group_algebra"
+
+#: Coefficient entries formed per batched matmul of a group-algebra product.
+_BATCH = 1 << 16
 
 
 def as_tracial_matrix(x) -> np.ndarray:
@@ -114,20 +126,49 @@ def vv_norm(X: Flattening, p: int) -> float:
     return _even_root(np.trace(_matrix_gram_power(X.matrix, p)), X.coeff_dim, p)
 
 
+#: A word tuple in integer codes, one tuple of letter codes per factor.
+Key = tuple[tuple[int, ...], ...]
+
+
+class _Terms(Mapping):
+    """An element's terms as a read-only map from WordTuple to coefficient, in key order."""
+
+    def __init__(self, x: "GroupAlgebraElement"):
+        self._x = x
+
+    def __len__(self) -> int:
+        return len(self._x.keys)
+
+    def __iter__(self):
+        return map(WordTuple.from_codes, self._x.keys)
+
+    def __getitem__(self, word_tuple: WordTuple) -> np.ndarray:
+        if isinstance(word_tuple, WordTuple):
+            keys, key = self._x.keys, word_tuple.codes
+            i = bisect.bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                return self._x.coeffs[i]
+        raise KeyError(word_tuple)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupAlgebraElement:
     """Finite formal sum of matrix coefficients against elements of F_n^arity.
 
-    ``terms`` maps reduced word tuples to complex coefficient arrays, all of
-    shape ``coeff_shape``.  Instances are immutable; every arithmetic operation
-    returns a fresh element with exactly-zero coefficients pruned.  Coefficients
-    are usually square; rectangular shapes arise only from flattenings.
+    ``keys`` are the reduced word tuples in integer codes (see
+    :mod:`orthosum.freegroup`), ascending, and ``coeffs`` the read-only
+    ``(len(keys),) + coeff_shape`` stack of their complex coefficients, none
+    exactly zero; ``terms`` shows them as a map from :class:`WordTuple`.
+    Instances are immutable; every arithmetic operation returns a fresh
+    element.  Coefficients are usually square; rectangular shapes arise only
+    from flattenings.
     """
 
     arity: int
     n: int
     coeff_shape: tuple[int, int]
-    terms: dict[WordTuple, np.ndarray]
+    keys: tuple[Key, ...]
+    coeffs: np.ndarray
 
     @classmethod
     def build(
@@ -140,20 +181,47 @@ class GroupAlgebraElement:
         """Validating constructor; copies coefficients and drops exact zeros."""
         if arity < 0 or n < 0:
             raise ValueError("arity and n must be non-negative")
-        clean: dict[WordTuple, np.ndarray] = {}
-        for wt, coeff in terms.items():
+        coeff_shape = tuple(coeff_shape)
+        stack = np.empty((len(terms),) + coeff_shape, dtype=complex)
+        for i, (wt, coeff) in enumerate(terms.items()):
             if wt.arity != arity:
                 raise ValueError(f"word tuple arity {wt.arity} != {arity}")
             if wt.max_generator > n:
                 raise ValueError(f"word tuple uses generator beyond {n}")
-            arr = np.array(coeff, dtype=complex)
-            if arr.shape != tuple(coeff_shape):
+            arr = np.asarray(coeff, dtype=complex)
+            if arr.shape != coeff_shape:
                 raise ValueError(f"coefficient shape {arr.shape} != {coeff_shape}")
-            if not arr.any():
-                continue
-            arr.setflags(write=False)
-            clean[wt] = arr
-        return cls(arity, n, tuple(coeff_shape), clean)
+            stack[i] = arr
+        return cls.from_codes(arity, n, coeff_shape, [wt.codes for wt in terms], stack)
+
+    @classmethod
+    def from_codes(cls, arity: int, n: int, coeff_shape, keys: Sequence[Key], stack):
+        """Unvalidated constructor on coded keys, one per row of ``stack``, which it owns.
+
+        Rows of equal keys are summed in the order given (see
+        :func:`_sum_by_label`); sums that are exactly zero are dropped and the
+        keys sorted.
+        """
+        return cls._from_batches(arity, n, coeff_shape, keys, [stack])
+
+    @classmethod
+    def _from_batches(cls, arity, n, coeff_shape, keys: Sequence[Key], batches):
+        """:meth:`from_codes` with the rows of ``keys`` split into consecutive batches."""
+        labels: dict[Key, int] = {}
+        idx = [labels.setdefault(key, len(labels)) for key in keys]
+        batches = iter(batches)
+        stack = next(batches)
+        if len(labels) < len(idx) or len(stack) < len(idx):
+            idx = np.array(idx, dtype=np.intp)
+            batches = itertools.chain([stack], batches)
+            stack = _sum_by_label(idx, len(labels), stack.shape[1:], batches)
+        unique = list(labels)
+        kept = itertools.compress(range(len(unique)), stack.any(axis=(1, 2)).tolist())
+        order = sorted(kept, key=unique.__getitem__)
+        if order != list(range(len(unique))):
+            stack = stack[order]
+        stack.setflags(write=False)
+        return cls(arity, n, tuple(coeff_shape), tuple(unique[i] for i in order), stack)
 
     @classmethod
     def zero(cls, arity: int, n: int, coeff_shape: tuple[int, int]) -> "GroupAlgebraElement":
@@ -167,6 +235,10 @@ class GroupAlgebraElement:
         return cls.build(arity, n, arr.shape, {word_tuple: arr})
 
     @property
+    def terms(self) -> Mapping[WordTuple, np.ndarray]:
+        return _Terms(self)
+
+    @property
     def coeff_dim(self) -> int:
         r, c = self.coeff_shape
         if r != c:
@@ -175,33 +247,28 @@ class GroupAlgebraElement:
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.keys)
 
     def sorted_terms(self) -> list[tuple[WordTuple, np.ndarray]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        return list(zip(self.terms, self.coeffs))
 
     def coefficient(self, word_tuple: WordTuple) -> np.ndarray:
         got = self.terms.get(word_tuple)
-        if got is None:
-            return np.zeros(self.coeff_shape, dtype=complex)
-        return got
+        return np.zeros(self.coeff_shape, dtype=complex) if got is None else got
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check_compatible(other)
-        acc: dict[WordTuple, np.ndarray] = {wt: c for wt, c in self.sorted_terms()}
-        for wt, c in other.sorted_terms():
-            acc[wt] = acc[wt] + c if wt in acc else c
-        return GroupAlgebraElement.build(self.arity, self.n, self.coeff_shape, acc)
+        stack = np.concatenate([self.coeffs, other.coeffs])
+        return self.from_codes(
+            self.arity, self.n, self.coeff_shape, self.keys + other.keys, stack
+        )
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.build(
-            self.arity,
-            self.n,
-            self.coeff_shape,
-            {wt: scalar * c for wt, c in self.terms.items()},
+        return self.from_codes(
+            self.arity, self.n, self.coeff_shape, self.keys, scalar * self.coeffs
         )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -217,35 +284,67 @@ class GroupAlgebraElement:
             )
 
 
+def _sum_by_label(idx: np.ndarray, count: int, shape, batches) -> np.ndarray:
+    """Row l: the sum of the rows labelled l by ``idx``, in their order in ``batches``.
+
+    Sums start from -0.0, the exact identity of floating-point addition, so
+    each equals a running sum seeded with its first row, signed zeros
+    included; ``np.add.at`` adds entry by entry in index order.
+    """
+    size = shape[0] * shape[1]
+    out = np.full((count,) + tuple(shape), complex(-0.0, -0.0))
+    start = 0
+    for batch in batches:
+        rows = idx[start : start + len(batch)]
+        start += len(batch)
+        entries = (rows[:, None] * size + np.arange(size)).reshape(-1)
+        np.add.at(out.reshape(-1), entries, batch.reshape(-1))
+    return out
+
+
 def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product: words multiply componentwise, coefficients by matmul."""
+    """Convolution product: words multiply componentwise, coefficients by matmul.
+
+    The coefficient products come from batched matmuls of at most _BATCH
+    entries (one batch unless coefficients are large), and equal words merge
+    in pair order, the terms of x outer and those of y inner.
+    """
     x._check_compatible(y)
     if x.coeff_shape[1] != y.coeff_shape[0]:
         raise ValueError(
             f"coefficient shapes {x.coeff_shape} and {y.coeff_shape} do not chain"
         )
-    acc: dict[WordTuple, np.ndarray] = {}
-    for wx, cx in x.sorted_terms():
-        for wy, cy in y.sorted_terms():
-            w, prod = wx * wy, cx @ cy
-            acc[w] = acc[w] + prod if w in acc else prod
+    keys = [tuple(map(code_multiply, a, b)) for a in x.keys for b in y.keys]
     shape = (x.coeff_shape[0], y.coeff_shape[1])
-    return GroupAlgebraElement.build(x.arity, x.n, shape, acc)
+    step = max(1, _BATCH // max(1, len(y.keys) * shape[0] * shape[1]))
+
+    def batch(i: int) -> np.ndarray:
+        prods = x.coeffs[i : i + step, None] @ y.coeffs[None, :]
+        return prods.reshape((prods.shape[0] * prods.shape[1],) + shape)
+
+    batches = map(batch, range(0, max(len(x.keys), 1), step))
+    return GroupAlgebraElement._from_batches(x.arity, x.n, shape, keys, batches)
 
 
 def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Involution: word tuples invert, coefficients conjugate-transpose."""
-    return GroupAlgebraElement.build(
+    return GroupAlgebraElement.from_codes(
         x.arity,
         x.n,
         (x.coeff_shape[1], x.coeff_shape[0]),
-        {wt.inverse(): c.conj().T for wt, c in x.terms.items()},
+        [tuple(map(code_inverse, key)) for key in x.keys],
+        x.coeffs.conj().transpose(0, 2, 1),
     )
+
+
+def _identity_coeff(x: GroupAlgebraElement) -> np.ndarray | None:
+    """The coefficient at the identity tuple, the least key when present."""
+    return x.coeffs[0] if x.keys and not any(x.keys[0]) else None
 
 
 def ga_trace(x: GroupAlgebraElement) -> complex:
     """Normalized trace of the coefficient at the identity tuple (0 if absent)."""
-    coeff = x.terms.get(WordTuple.identity(x.arity))
+    coeff = _identity_coeff(x)
     if coeff is None:
         return 0j
     if x.coeff_shape[0] != x.coeff_shape[1]:
@@ -259,24 +358,30 @@ def _gram_power_identity_coeff(
     """Coefficient at the identity of (x* x)^(p/2), by half-power pairing.
 
     With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), the
-    coefficient is the sum of A_w B_(w^-1) over the words w of A in sorted
-    order; for k = 1 it is read off x* x directly.
+    coefficient is the sum, from zero, of A_w B_(w^-1) over the words w of A
+    in sorted order; for k = 1 it is read off x* x directly.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1) ** p, budget, "even-norm word expansion")
     gram = ga_multiply(ga_adjoint(x), x)
     k = p // 2
     if k == 1:
-        return gram.coefficient(WordTuple.identity(x.arity))
+        coeff = _identity_coeff(gram)
+        return np.zeros(gram.coeff_shape, dtype=complex) if coeff is None else coeff
     half = gram
     for _ in range(k // 2 - 1):
         half = ga_multiply(half, gram)
     other = ga_multiply(half, gram) if k % 2 else half
+    where = {key: j for j, key in enumerate(other.keys)}
+    inverses = [tuple(map(code_inverse, key)) for key in half.keys]
+    a = [i for i, inv in enumerate(inverses) if inv in where]
+    b = [where[inverses[i]] for i in a]
     acc = np.zeros(gram.coeff_shape, dtype=complex)
-    for w, a in half.sorted_terms():
-        b = other.terms.get(w.inverse())
-        if b is not None:
-            acc += a @ b
+    step = max(1, _BATCH // acc.size)
+    for i in range(0, len(a), step):
+        prods = half.coeffs[a[i : i + step]] @ other.coeffs[b[i : i + step]]
+        prods[0] += acc  # acc + A_w B_(w^-1), in one running sum from zero
+        acc = np.add.accumulate(prods, axis=0)[-1]
     return acc
 
 
@@ -300,19 +405,14 @@ def generator_sum(
     a: Mapping[tuple[int, ...], np.ndarray], n: int, d: int
 ) -> GroupAlgebraElement:
     """Sum of a_gamma against the generator tuple (g_{i_1}, ..., g_{i_d})."""
-    terms: dict[WordTuple, np.ndarray] = {}
-    shape: tuple[int, int] | None = None
     for gamma in sorted(a):
         if len(gamma) != d or any(not 1 <= i <= n for i in gamma):
             raise ValueError(f"index {gamma} outside [{n}]^{d}")
-        coeff = as_tracial_matrix(a[gamma])
-        if shape is None:
-            shape = coeff.shape
-        wt = WordTuple(tuple(Word(((i, 1),)) for i in gamma))
-        terms[wt] = coeff
-    if shape is None:
+    if not a:
         raise ValueError("empty coefficient map")
-    return GroupAlgebraElement.build(d, n, shape, terms)
+    stack = np.array([as_tracial_matrix(a[gamma]) for gamma in a])
+    keys = [tuple((letter_code(i),) for i in gamma) for gamma in a]
+    return GroupAlgebraElement.from_codes(d, n, stack.shape[1:], keys, stack)
 
 
 @dataclass
@@ -340,8 +440,7 @@ class OperatorFamily:
             if len(keys) != 1:
                 raise ValueError(f"non-uniform group-algebra parameters: {keys}")
         for g, v in self.values.items():
-            coeffs = (v,) if self.kind == MATRIX else v.terms.values()
-            if not all(np.isfinite(c).all() for c in coeffs):
+            if not np.isfinite(v if self.kind == MATRIX else v.coeffs).all():
                 raise ValueError(f"non-finite coefficient at index {g}")
 
     def gammas(self) -> list[tuple[int, ...]]:
@@ -421,14 +520,14 @@ def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
     if f.kind != GROUP_ALGEBRA:
         raise KindError("ga_flatten expects a group-algebra-valued family")
     shape, blocks = _flatten_blocks(f, split)
-    acc: dict[WordTuple, np.ndarray] = {}
-    for gamma, block in blocks.items():
-        for wt, coeff in f.values[gamma].sorted_terms():
-            if wt not in acc:
-                acc[wt] = np.zeros(shape, dtype=complex)
-            acc[wt][block] += coeff
+    keys = sorted({key for v in f.values.values() for key in v.keys})
+    row = {key: i for i, key in enumerate(keys)}
+    stack = np.zeros((len(row),) + shape, dtype=complex)
+    for gamma, (rows, cols) in blocks.items():
+        v = f.values[gamma]
+        stack[[row[key] for key in v.keys], rows, cols] += v.coeffs
     probe = next(iter(f.values.values()))
-    return GroupAlgebraElement.build(probe.arity, probe.n, shape, acc)
+    return GroupAlgebraElement.from_codes(probe.arity, probe.n, shape, keys, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +543,17 @@ def matrix_to_json(x) -> dict:
     }
 
 
+def _is_number_pair(entry) -> bool:
+    return isinstance(entry, list) and len(entry) == 2 and {*map(type, entry)} <= {int, float}
+
+
 def matrix_from_json(obj: Mapping) -> np.ndarray:
-    dim = json_int(obj["dim"], "dim")
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+    obj = json_object(obj, ("dim", "entries"), "a matrix")
+    dim, entries = json_int(obj["dim"], "dim"), obj["entries"]
+    if not (isinstance(entries, list) and len(entries) == dim * dim):
+        raise ValueError(f"expected a list of {dim * dim} entries, got {entries!r:.60}")
+    if not all(map(_is_number_pair, entries)):
+        raise ValueError("every matrix entry must be a [re, im] pair of numbers")
     flat = [complex(re, im) for re, im in entries]
     return np.array(flat, dtype=complex).reshape(dim, dim)
 
@@ -468,11 +573,17 @@ def ga_to_json(x: GroupAlgebraElement) -> dict:
 
 
 def ga_from_json(obj: Mapping) -> GroupAlgebraElement:
+    obj = json_object(obj, ("arity", "n", "terms"), "a group-algebra element")
     arity = json_int(obj["arity"], "arity")
     n = json_int(obj["n"], "n")
     terms: dict[WordTuple, np.ndarray] = {}
     shape: tuple[int, int] | None = None
+    if not isinstance(obj["terms"], list):
+        raise ValueError("the terms of an element must be a list")
     for item in obj["terms"]:
+        words = json_object(item, ("words", "coeff"), "a term")["words"]
+        if not (isinstance(words, list) and all(isinstance(t, str) for t in words)):
+            raise ValueError("the words of a term must be a list of strings")
         wt = WordTuple(tuple(parse_word(t) for t in item["words"]))
         coeff = matrix_from_json(item["coeff"])
         shape = coeff.shape
@@ -492,18 +603,15 @@ def family_to_json(f: OperatorFamily) -> dict:
 
 
 def family_from_json(obj: Mapping) -> OperatorFamily:
-    if not (
-        isinstance(obj, Mapping)
-        and {"n", "d", "values"} <= obj.keys()
-        and isinstance(obj["values"], Mapping)
-    ):
-        raise ValueError("a family must be an object with 'n', 'd' and 'values' objects")
+    obj = json_object(obj, ("n", "d", "values"), "a family")
+    if not isinstance(obj["values"], Mapping):
+        raise ValueError("the values of a family must be an object")
     n, d = json_int(obj["n"], "n"), json_int(obj["d"], "d")
     values: dict[tuple[int, ...], Any] = {}
     kind = None
     for key, payload in obj["values"].items():
         gamma = tuple(int(part) for part in key.split(","))
-        if "terms" in payload:
+        if "terms" in json_object(payload, (), f"family value {key!r}"):
             kind = GROUP_ALGEBRA
             values[gamma] = ga_from_json(payload)
         else:

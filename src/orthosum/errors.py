@@ -48,6 +48,13 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_object(value, keys: tuple[str, ...], what: str) -> dict:
+    """``value`` if it is a JSON object holding ``keys``; ValueError otherwise."""
+    if not (isinstance(value, dict) and set(keys) <= value.keys()):
+        raise ValueError(f"{what} must be an object with {', '.join(map(repr, keys))}")
+    return value
+
+
 def check_budget(count: int, budget: int, what: str) -> None:
     """Raise SizeLimitError when an enumeration of ``count`` items exceeds ``budget``."""
     if count > budget:

@@ -25,21 +25,21 @@ from .algebra import (
     schatten_even_norm,
 )
 from .errors import DEFAULT_BUDGET, KindError, check_budget
-from .freegroup import Word, WordTuple
+from .freegroup import WordTuple, letter_code
 from .orthogonality import MomentTable, psi
 from .partitions import SetPartition
 
 
-def _place_telescope(words: list[Word], base: int, r: int, m: int, i: int) -> None:
-    """Write the rank-r word of a size-m block into the m-1 factors from ``base``.
+def _place_telescope(words: list[tuple[int, ...]], base: int, r: int, m: int, i: int) -> None:
+    """Write the rank-r coded word of a size-m block into the m-1 factors from ``base``.
 
     Rank r carries g_i in factor r-1 (unless r = 1) and g_i^-1 in factor r
     (unless r = m), counting factors of the block from 1.
     """
     if r > 1:
-        words[base + r - 2] = Word(((i, 1),))
+        words[base + r - 2] = (letter_code(i, 1),)
     if r < m:
-        words[base + r - 1] = Word(((i, -1),))
+        words[base + r - 1] = (letter_code(i, -1),)
 
 
 def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
@@ -57,10 +57,10 @@ def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
 
     def make(r: int) -> Callable[[int], GroupAlgebraElement]:
         def xi(i: int) -> GroupAlgebraElement:
-            words = [Word()] * (m - 1)
+            words = [()] * (m - 1)
             _place_telescope(words, 0, r, m, i)
             return GroupAlgebraElement.monomial(
-                m - 1, n, WordTuple(tuple(words)), np.eye(1)
+                m - 1, n, WordTuple.from_codes(words), np.eye(1)
             )
 
         return xi
@@ -168,23 +168,23 @@ def _build_factors(
     check_budget(p * f.n**f.d, budget, "factor term construction")
     total, offsets = _slot_layout(anatomy)
     dim = f.coeff_dim
+    gammas = f.gammas()
+    values = np.array([f.values[gamma] for gamma in gammas])
+    adjoints = values.conj().transpose(0, 2, 1)
     factors = []
     for s in range(1, p + 1):
-        terms: dict[WordTuple, np.ndarray] = {}
-        for gamma in f.gammas():
-            letters: list[Word] = [Word()] * total
+        keys = []
+        for gamma in gammas:
+            words: list[tuple[int, ...]] = [()] * total
             for k in range(f.d):
                 j = anatomy.block_index[k][s - 1]
                 block_size = len(anatomy.sigmas[k].blocks[j])
                 if block_size > 1:
                     r = anatomy.block_rank[k][s - 1]
-                    _place_telescope(letters, offsets[(k, j)], r, block_size, gamma[k])
-            wt = WordTuple(tuple(letters))
-            coeff = f.values[gamma].conj().T if s % 2 else f.values[gamma]
-            terms[wt] = terms[wt] + coeff if wt in terms else coeff
-        factors.append(
-            GroupAlgebraElement.build(total, f.n, (dim, dim), terms)
-        )
+                    _place_telescope(words, offsets[(k, j)], r, block_size, gamma[k])
+            keys.append(tuple(words))
+        stack = adjoints if s % 2 else values
+        factors.append(GroupAlgebraElement.from_codes(total, f.n, (dim, dim), keys, stack))
     return factors
 
 

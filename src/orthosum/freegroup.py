@@ -4,6 +4,14 @@ Words are kept fully reduced at all times; reduction happens on the fly during
 multiplication, since everything downstream keys on exact word identity.  A
 word family is certified p-dissociate by the prefix walk of
 :mod:`orthosum.orthogonality`, with its words as unit-coefficient monomials.
+
+Arithmetic runs on integer codes.  The letter g_i^e is the int ``2 i + (e > 0)``,
+a word is the tuple of its letter codes and a word tuple the tuple of its
+words.  The code preserves order ((g, e) < (g', e') exactly when their codes
+compare so), hence sorting coded word tuples sorts them as :class:`WordTuple`
+does; the inverse of a letter is ``c ^ 1`` and free reduction cancels a code
+against a neighbour ``c ^ 1``.  :class:`Word` and :class:`WordTuple` are the
+parse and format types, validated where words enter or leave the arithmetic.
 """
 
 from __future__ import annotations
@@ -51,6 +59,14 @@ class Word:
     def generator(cls, i: int, exponent: int = 1) -> "Word":
         return cls(((i, exponent),))
 
+    @classmethod
+    def from_codes(cls, codes: Iterable[int]) -> "Word":
+        return cls(tuple((c >> 1, 1 if c & 1 else -1) for c in codes))
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        return tuple(letter_code(g, e) for g, e in self.letters)
+
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -74,18 +90,31 @@ class Word:
 
 def word_multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; associative, with word_multiply(a, inverse(a)) = e."""
-    out = list(a.letters)
-    for g, e in b.letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
-            out.pop()
-        else:
-            out.append((g, e))
-    return Word(tuple(out))
+    return Word.reduce(a.letters + b.letters)
 
 
 def inverse(a: Word) -> Word:
     """Letters reversed with flipped exponents."""
     return Word(tuple((g, -e) for g, e in reversed(a.letters)))
+
+
+def letter_code(g: int, e: int = 1) -> int:
+    """The integer code of the letter g_g^e (generator g to the power e = +-1)."""
+    return 2 * g + (e > 0)
+
+
+def code_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced concatenation of two reduced coded words: they cancel at the seam."""
+    if not (a and b and a[-1] == b[0] ^ 1):
+        return a + b
+    i, m = 1, min(len(a), len(b))
+    while i < m and a[-1 - i] == b[i] ^ 1:
+        i += 1
+    return a[: len(a) - i] + b[i:]
+
+
+def code_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(a))
 
 
 @dataclass(frozen=True, order=True)
@@ -97,6 +126,14 @@ class WordTuple:
     @classmethod
     def identity(cls, arity: int) -> "WordTuple":
         return cls((Word(),) * arity)
+
+    @classmethod
+    def from_codes(cls, key: Iterable[Iterable[int]]) -> "WordTuple":
+        return cls(tuple(map(Word.from_codes, key)))
+
+    @property
+    def codes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(w.codes for w in self.words)
 
     @property
     def arity(self) -> int:
@@ -232,6 +269,8 @@ def word_family_to_json(family: WordFamily) -> dict[str, str]:
 
 def word_family_from_json(obj: Mapping[str, str]) -> WordFamily:
     """Inverse of :func:`word_family_to_json`; n and d inferred from the keys."""
+    if not (isinstance(obj, Mapping) and all(isinstance(t, str) for t in obj.values())):
+        raise ValueError("a word family must be an object mapping index keys to words")
     words = {}
     for key, text in obj.items():
         gamma = tuple(int(part) for part in key.split(","))

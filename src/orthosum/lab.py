@@ -52,6 +52,7 @@ from .freegroup import (
     canonical_dissociate,
     gamma_indices,
     is_p_dissociate,
+    letter_code,
     word_family_from_json,
 )
 from .orthogonality import is_p_orthogonal
@@ -166,11 +167,13 @@ def make_family(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> OperatorFamil
 
     Word-based kinds are p-orthogonal exactly; Rademacher kinds to machine
     precision.  The dissociate kind certifies its word family first and
-    raises with a witness if certification fails.
+    raises with a witness if certification fails.  The n^d members of a
+    generated family are charged to the budget before any is built.
     """
     if spec.kind == FILE:
         with open(spec.path) as fh:
             return family_from_json(json.load(fh))
+    check_budget(spec.n**spec.d, budget, "family members")
     rng = make_rng(spec.seed)
     gammas = gamma_indices(spec.n, spec.d)
 
@@ -257,13 +260,13 @@ def _lambda_tensor_element(f: OperatorFamily) -> GroupAlgebraElement:
     probe = next(iter(f.values.values()))
     group_n = max(f.n, probe.n)
     arity = f.d + probe.arity
-    terms: dict[WordTuple, np.ndarray] = {}
-    for gamma in f.gammas():
-        head = tuple(Word(((i, 1),)) for i in gamma)
-        for wt, coeff in f.values[gamma].sorted_terms():
-            key = WordTuple(head + wt.words)
-            terms[key] = terms[key] + coeff if key in terms else coeff
-    return GroupAlgebraElement.build(arity, group_n, probe.coeff_shape, terms)
+    keys = [
+        tuple((letter_code(i),) for i in gamma) + key
+        for gamma in f.gammas()
+        for key in f.values[gamma].keys
+    ]
+    stack = np.concatenate([f.values[gamma].coeffs for gamma in f.gammas()])
+    return GroupAlgebraElement.from_codes(arity, group_n, probe.coeff_shape, keys, stack)
 
 
 def flattening_norm(

@@ -3,9 +3,14 @@
 import json
 from itertools import product
 
+import ga_oracle
+import lambda_oracle
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from orthosum import algebra
 from orthosum.algebra import (
     GROUP_ALGEBRA,
     MATRIX,
@@ -429,3 +434,98 @@ def test_family_json_integer_fields_accept_json_integers_only(value):
     ]:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             parse({**obj, field: value})
+
+
+# --- the coded engine against the object oracle and the left-regular representation
+
+
+def _terms_strategy(arity, shape):
+    word = st.lists(st.tuples(st.integers(1, 2), st.sampled_from((-1, 1))), max_size=3)
+    key = st.tuples(*[word.map(Word.reduce)] * arity).map(WordTuple)
+    # small dyadic entries make products cancel exactly; signed zeros ride along
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+        st.floats(-2.0, 2.0, allow_nan=False),
+    )
+    size = shape[0] * shape[1]
+    coeff = st.lists(st.tuples(entry, entry), min_size=size, max_size=size).map(
+        lambda pairs: np.array([complex(a, b) for a, b in pairs]).reshape(shape)
+    )
+    return st.dictionaries(key, coeff, max_size=6)
+
+
+def _repr_terms(pairs):
+    return repr([(wt, c.tolist()) for wt, c in pairs])
+
+
+def _check_against_oracle(arity, r, c, c2, tx, ty, tz, batch):
+    x, y, z = (
+        GroupAlgebraElement.build(arity, 2, shape, t)
+        for t, shape in ((tx, (r, c)), (ty, (c, c2)), (tz, (c, c)))
+    )
+    ox, oy, oz = map(ga_oracle.clean, (tx, ty, tz))
+    saved, algebra._BATCH = algebra._BATCH, batch
+    try:
+        assert _repr_terms(x.sorted_terms()) == _repr_terms(sorted(ox.items()))
+        got, want = ga_multiply(x, y), ga_oracle.multiply(ox, oy)
+        assert _repr_terms(got.sorted_terms()) == _repr_terms(sorted(want.items()))
+        got, want = ga_adjoint(x), ga_oracle.adjoint(ox)
+        assert _repr_terms(got.sorted_terms()) == _repr_terms(sorted(want.items()))
+        zz = ga_multiply(z, ga_adjoint(z))
+        want = ga_oracle.trace(ga_oracle.multiply(oz, ga_oracle.adjoint(oz)), arity)
+        assert repr(ga_trace(zz)) == repr(want)
+        for p in (2, 4, 6):
+            want = ga_oracle.vv_norm(ox, arity, (r, c), p, c)
+            assert repr(ga_vv_norm(x, p, c)) == repr(want)
+            want = ga_oracle.vv_norm(oz, arity, (c, c), p, c)
+            assert repr(ga_even_norm(z, p)) == repr(want)
+    finally:
+        algebra._BATCH = saved
+
+
+@pytest.mark.parametrize("batch", [1, algebra._BATCH])
+@given(data=st.data())
+def test_coded_engine_matches_object_oracle_bit_for_bit(batch, data):
+    arity = data.draw(st.integers(0, 3), label="arity")
+    r, c, c2 = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="shapes")
+    tx = data.draw(_terms_strategy(arity, (r, c)), label="x")
+    ty = data.draw(_terms_strategy(arity, (c, c2)), label="y")
+    tz = data.draw(_terms_strategy(arity, (c, c)), label="z")
+    _check_against_oracle(arity, r, c, c2, tx, ty, tz, batch)
+
+
+@pytest.mark.parametrize("batch", [1, algebra._BATCH])
+def test_coded_engine_prunes_cancellations_and_keeps_signed_zeros(batch):
+    g = lambda *letters: WordTuple((Word(letters),))
+    one = np.array([[1.0]])
+    # g1 G1 and g2 G2 both land on e with coefficients 1 and -1: e cancels
+    x = {g((1, 1)): one, g((2, 1)): one}
+    y = {g((1, -1)): one, g((2, -1)): -one, g(): np.array([[complex(-0.0, 1.0)]])}
+    z = {g(): np.array([[complex(-0.0, 1.0)]]), g((1, 1)): np.array([[complex(0.5, -0.0)]])}
+    build = lambda terms: GroupAlgebraElement.build(1, 2, (1, 1), terms)
+    assert WordTuple.identity(1) not in (build(x) * build(y)).terms
+    # a running sum from the first term keeps -0.0 + -0.0 = -0.0
+    total = build({g((1, 1)): [[complex(1.0, -0.0)]]}) + build(z)
+    assert np.signbit(total.coefficient(g((1, 1)))[0, 0].imag)
+    _check_against_oracle(1, 1, 1, 1, x, y, z, batch)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize(
+    "arity,shape,seed", [(1, (1, 1), 0), (1, (2, 2), 1), (2, (2, 2), 2), (1, (2, 3), 3)]
+)
+def test_even_norm_matches_left_regular_representation(p, arity, shape, seed):
+    r = rng(200 + seed)
+    # words of length <= 2 keep the ball of radius p L / 2 small
+    max_len = 2 if arity == 1 else 1
+    terms = {}
+    letter = lambda: (int(r.integers(1, 3)), int(r.choice((-1, 1))))
+    for _ in range(4):
+        lengths = r.integers(0, max_len + 1, size=arity)
+        words = tuple(Word.reduce([letter() for _ in range(m)]) for m in lengths)
+        terms[WordTuple(words)] = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    x = GroupAlgebraElement.build(arity, 2, shape, terms)
+    letters_terms = [(tuple(w.letters for w in wt.words), c) for wt, c in x.terms.items()]
+    want = lambda_oracle.even_norm(letters_terms, arity, 2, p, shape[1])
+    got = ga_even_norm(x, p) if shape[0] == shape[1] else ga_vv_norm(x, p, shape[1])
+    assert got == pytest.approx(want, rel=1e-12)

@@ -274,6 +274,30 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
             ],
             id="family-d-float",
         ),
+        *(
+            pytest.param(
+                lambda tmp, value=value: [
+                    "ortho", "--spec",
+                    family_file_spec(tmp, json.dumps({"n": 1, "d": 1, "values": {"1": value}})),
+                ],
+                id=name,
+            )
+            for name, value in [
+                ("family-value-not-object", 5),
+                ("matrix-without-entries", {"dim": 1}),
+                ("matrix-entry-not-pair", {"dim": 1, "entries": [1]}),
+                ("matrix-entry-not-number", {"dim": 1, "entries": [["a", 0]]}),
+                ("term-without-coeff", {"arity": 1, "n": 1, "terms": [{"words": ["g1"]}]}),
+            ]
+        ),
+        pytest.param(
+            lambda tmp: ["dissociate", "--family", write(tmp, "[1]"), "--p", "2"],
+            id="word-family-not-object",
+        ),
+        pytest.param(
+            lambda tmp: ["dissociate", "--family", write(tmp, '{"1": 5}'), "--p", "2"],
+            id="word-not-string",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):

@@ -265,3 +265,40 @@ def test_factor_construction_is_budgeted():
         factorization_check(fam, sig, 4, budget=needed - 1, table=table)
     with pytest.raises(SizeLimitError, match="factor term"):
         factor_norm_report(fam, sig, 4, budget=needed - 1, table=table)
+
+
+def test_factor_norm_report_runs_on_codes_through_module_ga_multiply(monkeypatch):
+    from orthosum import algebra, factorization
+
+    fam = random_family(2, 2, 2, seed=41)
+    sig = (SetPartition.from_blocks([[1, 2], [3, 4]]), SetPartition.one_block(4))
+    want = factor_norm_report(fam, sig, 4)
+    words_built = []
+    word_init, tuple_init = Word.__init__, WordTuple.__init__
+    monkeypatch.setattr(Word, "__init__", lambda s, *a: words_built.append(a) or word_init(s, *a))
+    monkeypatch.setattr(
+        WordTuple, "__init__", lambda s, *a: words_built.append(a) or tuple_init(s, *a)
+    )
+    products = []
+    real = algebra.ga_multiply
+
+    def spy(x, y):
+        products.append((len(x.terms), len(y.terms)))
+        return real(x, y)
+
+    # the bench tracer patches these same names
+    monkeypatch.setattr(algebra, "ga_multiply", spy)
+    monkeypatch.setattr(factorization, "ga_multiply", spy)
+    got = factor_norm_report(fam, sig, 4)
+    assert words_built == []
+    # p - 1 chain products, then x* x for each of the p factor norms (p/2 = 2 pairs it)
+    assert len(products) == 3 + 4
+    assert repr(got) == repr(want)
+    factor = build_factors(fam, sig, 4)[0]
+    assert len(factor.terms) == factor.term_count == 4
+    assert words_built == []
+    assert "e" not in factor.terms and WordTuple.identity(factor.arity) not in factor.terms
+    for wt, coeff in factor.terms.items():
+        assert isinstance(wt, WordTuple)
+        assert np.array_equal(coeff, factor.coefficient(wt))
+        assert np.shares_memory(coeff, factor.coeffs)

@@ -17,6 +17,8 @@ from orthosum.freegroup import (
     WordTuple,
     _index_functions,
     canonical_dissociate,
+    code_inverse,
+    code_multiply,
     format_word,
     gamma_indices,
     has_injective_projection,
@@ -78,6 +80,22 @@ def test_multiplication_is_associative(a, b, c):
 @given(words, words)
 def test_inverse_antihomomorphism(a, b):
     assert inverse(a * b) == inverse(b) * inverse(a)
+
+
+@given(st.lists(st.tuples(words, words).map(WordTuple), max_size=8))
+def test_letter_codes_round_trip_and_sort_like_words(tuples):
+    for wt in tuples:
+        assert WordTuple.from_codes(wt.codes) == wt
+        assert all(Word.from_codes(w.codes) == w for w in wt.words)
+    assert sorted(wt.codes for wt in tuples) == [wt.codes for wt in sorted(tuples)]
+    flat = [w for wt in tuples for w in wt.words]
+    assert sorted(w.codes for w in flat) == [w.codes for w in sorted(flat)]
+
+
+@given(words, words)
+def test_coded_product_and_inverse_match_words(a, b):
+    assert code_multiply(a.codes, b.codes) == (a * b).codes
+    assert code_inverse(a.codes) == inverse(a).codes
 
 
 def test_word_text_format():

@@ -467,3 +467,14 @@ def test_spec_integer_fields_accept_json_integers_only(field, value):
     assert FamilySpec.from_json(obj).n == 2
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         FamilySpec.from_json({**obj, field: value})
+
+
+def test_make_family_charges_members_before_building(monkeypatch):
+    from orthosum import lab
+
+    built = []
+    monkeypatch.setattr(lab, "random_complex_matrix", lambda *a: built.append(a))
+    spec = FamilySpec("random_matrix", n=4, d=2, p=2, dim=1)
+    with pytest.raises(SizeLimitError, match="family members needs 16"):
+        make_family(spec, budget=10)
+    assert built == []
