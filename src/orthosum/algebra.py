@@ -3,7 +3,10 @@
 The normalized trace on N x N matrices is Tr/N.  Vector-valued norms use the
 normalized trace on the coefficient factor and the plain (un-normalized) trace
 on the matrix-unit factor; this is the convention under which the converse of
-the iteration inequality holds with constant 1.
+the iteration inequality holds with constant 1.  A matrix even-p trace
+Tr((x* x)^(p/2)) is taken from the smaller Gram side: x x* when x is wide,
+x* x otherwise; the two traces are equal by cyclicity, and square matrices,
+the family members, keep x* x.
 
 A group-algebra element keeps its word tuples as sorted integer codes (see
 :mod:`orthosum.freegroup`) beside one stack of coefficients.  A product forms
@@ -14,8 +17,10 @@ sum of term-by-term accumulation, signed zeros included.  Coefficients that
 cancel to exactly zero are pruned after every product.  Even-p norms read the
 identity coefficient of (x* x)^(p/2), exact up to float rounding, by pairing
 the half powers A = (x* x)^floor(p/4) and B = (x* x)^ceil(p/4) as the sum,
-from +0.0 in sorted word order, of A_w B_(w^-1).  Results are reproducible
-run to run.
+from +0.0 in sorted word order, of A_w B_(w^-1).  Rectangular elements
+(group-algebra flattenings) keep x* x even when wide: their bits are pinned
+to the object-product oracle in the tests.  Results are reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -62,16 +67,21 @@ def _even_root(trace: complex, normalizer: int, p: int) -> float:
     return float(max(trace.real / normalizer, 0.0) ** (1.0 / p))
 
 
-def _matrix_gram_power(x: np.ndarray, p: int) -> np.ndarray:
-    """(x* x)^(p/2) for a (possibly rectangular) matrix x at even p."""
+def _matrix_even_trace(x: np.ndarray, p: int) -> complex:
+    """Tr((x* x)^(p/2)) for a (possibly rectangular) matrix x at even p.
+
+    A wide x is taken through the smaller Gram x x*, whose powers have the
+    same trace by cyclicity; a square or tall x through x* x.
+    """
     check_even_p(p)
-    return np.linalg.matrix_power(x.conj().T @ x, p // 2)
+    gram = x @ x.conj().T if x.shape[0] < x.shape[1] else x.conj().T @ x
+    return np.trace(np.linalg.matrix_power(gram, p // 2))
 
 
 def schatten_even_norm(x, p: int) -> float:
     """(ntrace((x* x)^(p/2)))^(1/p), the L_p norm under Tr/N at even p."""
     arr = as_tracial_matrix(x)
-    return _even_root(np.trace(_matrix_gram_power(arr, p)), arr.shape[0], p)
+    return _even_root(_matrix_even_trace(arr, p), arr.shape[0], p)
 
 
 @dataclass(frozen=True, order=True)
@@ -123,7 +133,7 @@ class Flattening:
 
 def vv_norm(X: Flattening, p: int) -> float:
     """Vector-valued even-p norm: normalized trace on the coefficient factor only."""
-    return _even_root(np.trace(_matrix_gram_power(X.matrix, p)), X.coeff_dim, p)
+    return _even_root(_matrix_even_trace(X.matrix, p), X.coeff_dim, p)
 
 
 #: A word tuple in integer codes, one tuple of letter codes per factor.

@@ -133,6 +133,10 @@ class FamilySpec:
     def from_json(cls, obj: Mapping) -> "FamilySpec":
         if not isinstance(obj, Mapping) or "kind" not in obj:
             raise ValueError("family spec must be a JSON object with a 'kind'")
+        path = obj.get("path")
+        if path is not None and not isinstance(path, str):
+            # open() would take an int or a bool as a file descriptor
+            raise ValueError(f"path must be a string, got {path!r}")
         return cls(
             kind=obj["kind"],
             n=json_int(obj.get("n", 1), "n"),
@@ -140,7 +144,7 @@ class FamilySpec:
             p=json_int(obj.get("p", 2), "p"),
             dim=json_int(obj.get("dim", 1), "dim"),
             seed=json_int(obj.get("seed", 0), "seed"),
-            path=obj.get("path"),
+            path=path,
         )
 
     @classmethod

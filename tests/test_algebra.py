@@ -185,6 +185,65 @@ def test_vv_norm_matches_row_and_column_square_functions(p):
     assert abs(got_col - sqrt_norm(col_sq)) <= 1e-9 * (1.0 + sqrt_norm(col_sq))
 
 
+def block_matrix_oracle(vals, n, dim, alpha, beta):
+    """Independent flattening: member gamma at block (pi_alpha, pi_beta), lexicographic."""
+    out = np.zeros((n ** len(alpha) * dim, n ** len(beta) * dim), dtype=complex)
+    for gamma, v in vals.items():
+        row = np.ravel_multi_index([gamma[k - 1] - 1 for k in alpha], (n,) * len(alpha))
+        col = np.ravel_multi_index([gamma[k - 1] - 1 for k in beta], (n,) * len(beta))
+        out[row * dim : (row + 1) * dim, col * dim : (col + 1) * dim] = v
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize("n,d,dim", [(3, 1, 2), (2, 2, 3), (2, 3, 2)])
+def test_vv_norm_matches_singular_values_on_every_split(n, d, dim, p):
+    # d=1 gives one wide and one tall split, d=2 adds square ones, d=3 has 2 x 16 and 16 x 2
+    r = rng(1000 * n + 100 * d + 10 * dim + p)
+    vals = {g: rand_matrix(r, dim) for g in product(range(1, n + 1), repeat=d)}
+    fam = matrix_family(n, d, vals)
+    shapes = set()
+    for split in all_splits(d):
+        x = block_matrix_oracle(vals, n, dim, split.alpha, split.beta)
+        s = np.linalg.svd(x, compute_uv=False)
+        want = float((np.sum(s**p) / dim) ** (1.0 / p))
+        got = vv_norm(flatten(fam, split), p)
+        assert abs(got - want) <= 1e-12 * want, (split, got, want)
+        shapes.add(np.sign(x.shape[0] - x.shape[1]))
+    assert shapes == ({-1, 0, 1} if d == 2 else {-1, 1})
+
+
+def test_matrix_norms_form_the_gram_on_the_smaller_side(monkeypatch):
+    sides = []
+    matrix_power = np.linalg.matrix_power
+
+    def spy(gram, k):
+        sides.append(gram.shape)
+        return matrix_power(gram, k)
+
+    monkeypatch.setattr(algebra.np.linalg, "matrix_power", spy)
+    r = rng(5)
+    vals = {g: rand_matrix(r, 2) for g in product((1, 2, 3), repeat=2)}
+    fam = matrix_family(3, 2, vals)
+    for split in all_splits(2):
+        sides.clear()
+        flat = flatten(fam, split)
+        vv_norm(flat, 4)
+        side = min(flat.matrix.shape)
+        assert sides == [(side, side)], (flat.matrix.shape, sides)
+    sides.clear()
+    schatten_even_norm(vals[(1, 1)], 6)
+    assert sides == [(2, 2)]
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_schatten_of_a_square_matrix_keeps_the_column_gram_bits(p):
+    x = rand_matrix(rng(40 + p), 5)
+    trace = np.trace(np.linalg.matrix_power(x.conj().T @ x, p // 2))
+    want = float(max(trace.real / 5, 0.0) ** (1.0 / p))
+    assert repr(schatten_even_norm(x, p)) == repr(want)
+
+
 def test_ga_multiply_examples():
     assert ga_trace(ga_multiply(lam(1), ga_adjoint(lam(1)))) == 1
     e = ga_monomial(1, 2, [Word()], np.array([[2.0]]))

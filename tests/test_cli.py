@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import time
 
 import pytest
@@ -290,6 +291,16 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
                 ("term-without-coeff", {"arity": 1, "n": 1, "terms": [{"words": ["g1"]}]}),
             ]
         ),
+        *(
+            pytest.param(
+                lambda tmp, kind=kind, path=path: [
+                    "ortho", "--spec", spec_file(tmp, kind=kind, n=2, d=1, p=2, path=path),
+                ],
+                id=f"{kind}-path-{name}",
+            )
+            for kind in ("file", "dissociate")
+            for name, path in [("float", 2.5), ("list", [1]), ("int", 2), ("bool", True)]
+        ),
         pytest.param(
             lambda tmp: ["dissociate", "--family", write(tmp, "[1]"), "--p", "2"],
             id="word-family-not-object",
@@ -305,6 +316,30 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def fd_is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def test_spec_paths_never_open_the_standard_streams(tmp_path, capsys):
+    saved = {fd: os.dup(fd) for fd in (1, 2)}
+    try:
+        for kind, path in [("file", 2), ("file", True), ("dissociate", 2), ("dissociate", True)]:
+            spec = spec_file(tmp_path, kind=kind, n=2, d=1, p=2, path=path)
+            main(["ortho", "--spec", spec])
+        closed = [fd for fd in saved if not fd_is_open(fd)]
+    finally:
+        for fd, copy in saved.items():
+            if not fd_is_open(fd):
+                os.dup2(copy, fd)
+            os.close(copy)
+    capsys.readouterr()
+    assert closed == []
 
 
 def test_non_finite_result_is_not_printed(monkeypatch, capsys):
