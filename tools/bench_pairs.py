@@ -1,14 +1,15 @@
 """Compare two checkouts on one benchmark workload in alternating pairs of runs.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload inequality \
-        --seed 1 --pairs 10 [--seconds S]
+        --seed 1 --pairs 10
 
-Each pair runs ``python3 bench/run.py`` once in each checkout, the parent
-first in even pairs and the change first in odd ones, so that a drift in host
-speed does not fall on one side alone.  Every run's end-to-end metrics are
-printed as it finishes.  At the end, for each end-to-end metric of
-``BENCHMARK.json``, the table gives each side's median and quartiles, the
-pairs the change won (ties count for neither side) and a verdict:
+Each pair runs ``python3 bench/run.py`` once in each checkout, for the
+``run_seconds`` of ``BENCHMARK.json``, the parent first in even pairs and the
+change first in odd ones, so that a drift in host speed does not fall on one
+side alone.  Every run's end-to-end metrics are printed as it finishes.  At
+the end, for each end-to-end metric of ``BENCHMARK.json``, the table gives
+each side's median and quartiles, the pairs the change won (ties count for
+neither side) and a verdict:
 
 * ``gain``: the change won at least nine tenths of the pairs, and its median
   is better than the parent's by more than the parent's quartile distance;
@@ -18,7 +19,12 @@ pairs the change won (ties count for neither side) and a verdict:
   bound, and not every run of the change beats every run of the parent;
 * ``no worse``: none of the above.
 
-Standard library only; the run length defaults to the benchmark's own.
+A ``gain`` does not stand when a larger share of the change's attempted
+reports failed than of the parent's; the verdict then reads ``more failed``.
+A gain is claimed on at least ten pairs; a verdict from fewer only describes
+the runs made.
+Quartiles are ``statistics.quantiles(values, n=4)``, as bench/README.md takes
+them.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,10 +41,10 @@ SIDES = ("parent", "change")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """First quartile, median and third quartile, as the benchmark's README takes them."""
+    """First quartile, median and third quartile, as bench/README.md takes them."""
     if len(values) == 1:
         return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+    return tuple(statistics.quantiles(values, n=4))
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -68,6 +74,28 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def table(runs: dict[str, list[dict]], metrics: list[dict]) -> list[dict]:
+    """One verdict per end-to-end metric over both sides' run results.
+
+    A ``gain`` becomes ``more failed`` when the change failed a larger share
+    of its attempted reports than the parent did.
+    """
+    failed, attempted = (
+        {side: sum(r[key] for r in runs[side]) for side in SIDES}
+        for key in ("failed", "attempted")
+    )
+    more_failed = failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
+    rows = []
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]] for side in SIDES}
+        v = verdict(values["parent"], values["change"], m["better"], m["bound"])
+        row = {"name": m["name"], **v}
+        if row["verdict"] == "gain" and more_failed:
+            row["verdict"] = "more failed"
+        rows.append(row)
+    return rows
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``checkout``; its closing JSON object."""
     cmd = [
@@ -91,15 +119,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     args = parser.parse_args(argv)
 
+    seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
             runs[side].append(result)
             values = " ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.4g}" for m in metrics
@@ -109,14 +137,12 @@ def main(argv: list[str] | None = None) -> int:
                 flush=True,
             )
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s runs")
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, {seconds:g} s runs")
     print("metric | parent q1 / median / q3 | change q1 / median / q3 | wins | verdict")
-    for m in metrics:
-        name = m["name"]
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        v = verdict(values["parent"], values["change"], m["better"], m["bound"])
-        cells = [" / ".join(f"{x:.4g}" for x in v[side]) for side in SIDES]
-        print(f"{name} | {cells[0]} | {cells[1]} | {v['wins']}/{v['pairs']} | {v['verdict']}")
+    for row in table(runs, metrics):
+        cells = [" / ".join(f"{x:.4g}" for x in row[side]) for side in SIDES]
+        wins = f"{row['wins']}/{row['pairs']}"
+        print(f"{row['name']} | {cells[0]} | {cells[1]} | {wins} | {row['verdict']}")
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])
