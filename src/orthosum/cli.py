@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -90,8 +91,8 @@ def _load_family(args: argparse.Namespace) -> tuple[FamilySpec, OperatorFamily]:
     spec = FamilySpec.from_file(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
-    if getattr(args, "p", None):
-        spec.p = args.p
+    if getattr(args, "p", None) is not None:
+        spec = dataclasses.replace(spec, p=args.p)
     return spec, make_family(spec, args.budget)
 
 
@@ -112,6 +113,7 @@ def _cmd_mobius(args) -> tuple[dict, list[dict], int | None]:
 def _cmd_dissociate(args) -> tuple[dict, list[dict], int | None]:
     if args.family.startswith("canonical:"):
         n, d = (int(x) for x in args.family.split(":", 1)[1].split(","))
+        check_budget(n**d, args.budget, "family members")
         family = canonical_dissociate(n, d)
     else:
         with open(args.family) as fh:
@@ -165,7 +167,7 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
     if fam.kind != MATRIX:
         raise ValueError("factorize needs a matrix-valued family spec")
     scale = family_scale(fam, spec.p, args.budget)
-    table = orthogonality.moment_table(fam, spec.p, args.budget)
+    table = orthogonality.MomentTable(fam, spec.p, args.budget)
     if args.sigmas:
         tuples = [_parse_sigmas(args.sigmas)]
     else:

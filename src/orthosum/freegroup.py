@@ -1,9 +1,10 @@
 """Reduced words in free groups, tuples in direct powers, and p-dissociate families.
 
 Words are kept fully reduced at all times; reduction happens on the fly during
-multiplication, since everything downstream keys on exact word identity.  A
-word family is certified p-dissociate by the prefix walk of
-:mod:`orthosum.orthogonality`, with its words as unit-coefficient monomials.
+multiplication, since everything downstream keys on exact word identity.
+Index functions belong to :mod:`orthosum.orthogonality`: a word family is
+certified p-dissociate by its ``is_p_orthogonal``, with the words as
+unit-coefficient monomials.
 
 Arithmetic runs on integer codes.  The letter g_i^e is the int ``2 i + (e > 0)``,
 a word is the tuple of its letter codes and a word tuple the tuple of its
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import product
+from typing import Iterable, Mapping
 
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
-from .partitions import kernel_code
 
 _WORD_LETTER = re.compile(r"^([gG])(\d+)$")
 
@@ -182,26 +182,6 @@ def gamma_indices(n: int, d: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n + 1), repeat=d))
 
 
-def _index_functions(
-    n: int, d: int, p: int, budget: int, what: str
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]]:
-    """All h: [p] -> [n]^d in lexicographic order, each with its d kernel codes.
-
-    p and the budget are checked before the first h is yielded.
-    """
-    check_even_p(p)
-    check_budget(n ** (d * p), budget, what)
-    return (
-        (h, tuple(map(kernel_code, zip(*h))))
-        for h in product(gamma_indices(n, d), repeat=p)
-    )
-
-
-def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
-    """True iff some coordinate k has pairwise distinct values along h."""
-    return tuple(range(len(h))) in map(kernel_code, islice(zip(*h), d))
-
-
 @dataclass
 class WordFamily:
     """Words of a single free group indexed by the grid [n]^d.
@@ -244,18 +224,21 @@ def is_p_dissociate(
     For every h: [p] -> [n]^d with some injective coordinate, the alternating
     product t(h1)^-1 t(h2) t(h3)^-1 ... t(hp) must differ from the identity.
     As monomials with coefficient 1, the words have moment 1 exactly on such an
-    identity product.  On failure the witness is the first violating h.
+    identity product.  On failure the witness is the first violating h.  p and
+    the n^(dp) index functions are checked before any monomial is built.
     """
     from .algebra import GROUP_ALGEBRA, GroupAlgebraElement, OperatorFamily
-    from .orthogonality import _injective_moments
+    from .orthogonality import is_p_orthogonal
 
+    check_even_p(p)
+    check_budget(family.n ** (family.d * p), budget, "dissociate enumeration")
     group_n = max(w.max_generator for w in family.words.values())
     values = {
         gamma: GroupAlgebraElement.monomial(1, group_n, WordTuple((w,)), [[1.0]])
         for gamma, w in family.words.items()
     }
     units = OperatorFamily(family.n, family.d, GROUP_ALGEBRA, values)
-    report = _injective_moments(units, p, 0.0, budget, True, "dissociate enumeration")
+    report = is_p_orthogonal(units, p, 0.0, budget)
     return DissociateReport(ok=report.worst_h is None, witness=report.worst_h)
 
 

@@ -282,15 +282,8 @@ def flattening_norm(
     return ga_vv_norm(ga_flatten(f, split), p, f.coeff_dim, budget)
 
 
-def max_flattening_norm(
-    f: OperatorFamily,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    splits: Sequence[SplitPair] | None = None,
-) -> float:
-    if splits is None:
-        splits = all_splits(f.d)
-    return max(flattening_norm(f, split, p, budget) for split in splits)
+def max_flattening_norm(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> float:
+    return max(flattening_norm(f, split, p, budget) for split in all_splits(f.d))
 
 
 def _iteration_sandwich(
@@ -576,9 +569,6 @@ def dissociate_equivalence_report(
     element = GroupAlgebraElement.build(1, n, probe.shape, terms)
     lhs = ga_even_norm(element, p, budget)
     coeff_fam = OperatorFamily(n, d, MATRIX, {g: a[g] for g in gamma_indices(n, d)})
-    contiguous = [
-        SplitPair.from_alpha(range(1, k + 1), d) for k in range(0, d + 1)
-    ]
-    rhs = max_flattening_norm(coeff_fam, p, budget, splits=contiguous)
-    rhs_all = max_flattening_norm(coeff_fam, p, budget)
-    return DissociateEquivalenceReport(lhs=lhs, rhs=rhs, rhs_all_splits=rhs_all)
+    norms = {s: flattening_norm(coeff_fam, s, p, budget) for s in all_splits(d)}
+    rhs = max(v for s, v in norms.items() if s.alpha == tuple(range(1, len(s.alpha) + 1)))
+    return DissociateEquivalenceReport(lhs=lhs, rhs=rhs, rhs_all_splits=max(norms.values()))

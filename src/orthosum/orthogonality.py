@@ -8,13 +8,16 @@ coordinate, and the decomposition identity rewrites the full moment sum as the
 injective-projection part plus a signed Mobius combination of the dominated
 sums.
 
-Every moment comes from one walk over the tree of h-prefixes, which forms
-each prefix product once and shares it with every h that extends it:
-``MomentTable`` walks every h, ``is_p_orthogonal`` (and with it
-``freegroup.is_p_dissociate``) only the prefixes that still have an injective
-coordinate, and ``alternating_moment`` a single h.  The kernel labels of h,
-the restricted growth strings of its d coordinates, depend on (n, d, p) only,
-so ``MomentTable`` reads them from a cached table of integer labels and an
+This module owns index functions.  Every moment comes from one walk over
+the tree of h-prefixes, which forms each prefix product once and shares it
+with every h that extends it.  ``MomentTable`` walks every h and
+``is_p_orthogonal`` only the prefixes that still have an injective
+coordinate; each checks p and charges the n^(dp) index functions to the
+budget before it walks (``freegroup.is_p_dissociate`` does the same before it
+builds the unit monomials it hands to ``is_p_orthogonal``).
+``alternating_moment`` walks a single h.  The kernel labels of h, the
+restricted growth strings of its d coordinates, depend on (n, d, p) only, so
+``MomentTable`` reads them from a cached table of integer labels and an
 injective mask, and adds the moments in the lexicographic order of h.  The
 Mobius weight of each kernel partition is cached once computed.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -36,9 +40,10 @@ from .algebra import (
     ga_trace,
 )
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
-from .freegroup import _index_functions, has_injective_projection
+from .freegroup import gamma_indices
 from .partitions import (
     SetPartition,
+    kernel_code,
     kernel_partition,
     mobius,
     refinement_count,
@@ -78,9 +83,9 @@ def sigma_of(h: Sequence[tuple[int, ...]], k: int) -> SetPartition:
     return kernel_partition([gamma[k - 1] for gamma in h])
 
 
-def delta_of(h: Sequence[tuple[int, ...]]) -> tuple[SetPartition, ...]:
-    """The tuple of all d kernel partitions of h."""
-    return tuple(sigma_of(h, k) for k in range(1, len(h[0]) + 1))
+def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
+    """True iff some coordinate k has pairwise distinct values along h."""
+    return tuple(range(len(h))) in map(kernel_code, islice(zip(*h), d))
 
 
 def alternating_moment(
@@ -94,12 +99,16 @@ def alternating_moment(
     return complex(moments[0])
 
 
-def _injective_moments(
-    f: OperatorFamily, p: int, tol: float, budget: int, adjoint_first: bool, what: str
+def is_p_orthogonal(
+    f: OperatorFamily,
+    p: int,
+    tol: float,
+    budget: int = DEFAULT_BUDGET,
+    adjoint_first: bool = True,
 ) -> MomentReport:
-    """:func:`is_p_orthogonal`, with the budget charged as ``what``."""
+    """Largest alternating moment over index functions with an injective projection."""
     check_even_p(p)
-    check_budget(f.n ** (f.d * p), budget, what)
+    check_budget(f.n ** (f.d * p), budget, "index-function enumeration")
     # a coordinate injective on [p] is injective on every prefix: the pruning is exact
     live = lambda prefix: f.n >= p and has_injective_projection(prefix, f.d)
     worst, worst_abs, count = None, 0.0, 0
@@ -111,17 +120,6 @@ def _injective_moments(
     if worst_abs <= tol:
         worst = None
     return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
-
-
-def is_p_orthogonal(
-    f: OperatorFamily,
-    p: int,
-    tol: float,
-    budget: int = DEFAULT_BUDGET,
-    adjoint_first: bool = True,
-) -> MomentReport:
-    """Largest alternating moment over index functions with an injective projection."""
-    return _injective_moments(f, p, tol, budget, adjoint_first, "index-function enumeration")
 
 
 def _prefix_walk(
@@ -206,9 +204,13 @@ def _kernel_labels(
     """
     count = n ** (d * p)
     ids: dict[tuple[tuple[int, ...], ...], int] = {}
-    index_functions = _index_functions(n, d, p, count, "index-function enumeration")
     labels = np.fromiter(
-        (ids.setdefault(codes, len(ids)) for _, codes in index_functions), np.int32, count
+        (
+            ids.setdefault(tuple(map(kernel_code, zip(*h))), len(ids))
+            for h in product(gamma_indices(n, d), repeat=p)
+        ),
+        np.int32,
+        count,
     )
     injective = np.array([tuple(range(p)) in codes for codes in ids])[labels]
     labels.flags.writeable = injective.flags.writeable = False
@@ -264,15 +266,6 @@ class MomentTable:
         self.phi_map = dict(zip(kernels, phi.tolist()))
 
 
-def moment_table(
-    f: OperatorFamily,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    adjoint_first: bool = True,
-) -> MomentTable:
-    return MomentTable(f, p, budget, adjoint_first)
-
-
 def _table_for(
     f: OperatorFamily,
     entries: Sequence[SetPartition],
@@ -286,7 +279,7 @@ def _table_for(
     for sigma in entries:
         if sigma.ground_size != p:
             raise ValueError(f"partition ground size {sigma.ground_size} != {p}")
-    return moment_table(f, p, budget) if table is None else table
+    return MomentTable(f, p, budget) if table is None else table
 
 
 def phi(
@@ -334,7 +327,7 @@ def mobius_decomposition_check(
     partition) of the Mobius weights times the dominated sums; the inner sums
     are evaluated by grouping index functions by kernel tuple.
     """
-    table = moment_table(f, p, budget, adjoint_first)
+    table = MomentTable(f, p, budget, adjoint_first)
     lhs = table.total
     parts = {part for eta in table.phi_map for part in eta}
     check_budget(sum(map(refinement_count, parts)), budget, "Mobius weight enumeration")

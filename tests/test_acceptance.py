@@ -143,7 +143,7 @@ def test_criterion_06_factorization():
                     ok_nc = False
 
     parts = [s for s in all_partitions(4) if s.num_blocks < 4]
-    from orthosum.orthogonality import moment_table
+    from orthosum.orthogonality import MomentTable
 
     worst_err = 0.0
     worst_bd = 0.0
@@ -151,7 +151,7 @@ def test_criterion_06_factorization():
     for seed in range(10):
         fam = make_family(FamilySpec("random_matrix", n=2, d=2, p=4, dim=2, seed=seed))
         scale = family_scale(fam, 4)
-        table = moment_table(fam, 4)
+        table = MomentTable(fam, 4)
         for sig in product(parts, repeat=2):
             check = factorization_check(fam, sig, 4, table=table)
             worst_err = max(worst_err, check.abs_err / scale)

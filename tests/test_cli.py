@@ -194,6 +194,20 @@ def test_budget_flag_threads_through(tmp_path, capsys):
     assert "size limit" in err
 
 
+def test_refused_canonical_family_is_never_built(monkeypatch, capsys):
+    from orthosum import cli
+
+    calls = []
+    original = cli.canonical_dissociate
+    monkeypatch.setattr(
+        cli, "canonical_dissociate", lambda n, d: calls.append((n, d)) or original(n, d)
+    )
+    argv = ["dissociate", "--family", "canonical:4,2", "--p", "2", "--budget", "10"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert "family members needs 16 items" in err
+
+
 def write(tmp_path, text):
     path = tmp_path / "raw.json"
     path.write_text(text)
@@ -300,6 +314,16 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
             )
             for kind in ("file", "dissociate")
             for name, path in [("float", 2.5), ("list", [1]), ("int", 2), ("bool", True)]
+        ),
+        *(
+            pytest.param(
+                lambda tmp, command=command: [
+                    command, "--spec", spec_file(tmp, kind="random_matrix", n=2, d=1, p=4),
+                    "--p", "0",
+                ],
+                id=f"{command}-p-0",
+            )
+            for command in ("ortho", "decompose", "factorize", "inequality")
         ),
         pytest.param(
             lambda tmp: ["dissociate", "--family", write(tmp, "[1]"), "--p", "2"],

@@ -1,0 +1,66 @@
+"""Report comparison of tools/compare_reports.py on canned reports (no subprocess)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+_SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
+compare_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_reports)
+differences = compare_reports.differences
+
+
+def record(index=0, rc=0, params=None, results=None, workload="decompose", seed=1):
+    report = {
+        "command": workload,
+        "params": params or {"spec": "/a/spec-0.json", "out": "/a/report-0.json"},
+        "seed": 7,
+        "results": results or {"lhs": 1.25, "scale": 3.0},
+        "assertions": [{"name": "decomposition_identity", "ok": True}],
+    }
+    return {
+        "workload": workload,
+        "seed": seed,
+        "index": index,
+        "spec": {"kind": "random_matrix", "n": 2},
+        "rc": rc,
+        "report": json.dumps(report, indent=2) if rc != 2 else None,
+    }
+
+
+def test_reports_that_differ_only_in_params_match():
+    parent = [record(0), record(1)]
+    change = [record(0, params={"spec": "/b/spec-0.json"}), record(1, params={"p": 4})]
+    assert differences(parent, change) == []
+
+
+def test_a_result_one_ulp_apart_differs():
+    parent = [record(0), record(1)]
+    change = [record(0), record(1, results={"lhs": 1.2500000000000002, "scale": 3.0})]
+    (line,) = differences(parent, change)
+    assert line.startswith("decompose seed 1 report 1 ")
+    assert line.endswith(": report differs outside params")
+
+
+def test_an_exit_code_difference_is_named_before_the_text():
+    parent = [record(0, rc=0)]
+    change = [record(0, rc=2)]
+    (line,) = differences(parent, change)
+    assert line.endswith(": exit code 0 != 2")
+
+
+def test_reports_are_matched_by_workload_seed_and_index_not_by_position():
+    parent = [record(0, seed=1), record(0, seed=2), record(0, workload="factorize")]
+    change = parent[::-1]
+    assert differences(parent, change) == []
+
+
+def test_a_report_missing_on_either_side_differs():
+    parent = [record(0), record(1)]
+    change = [record(1), record(2)]
+    missing_in_change, missing_in_parent = differences(parent, change)
+    assert missing_in_change.startswith("decompose seed 1 report 0 ")
+    assert missing_in_change.endswith(": missing in the change")
+    assert missing_in_parent.startswith("decompose seed 1 report 2 ")
+    assert missing_in_parent.endswith(": missing in the parent")

@@ -24,7 +24,7 @@ from orthosum.factorization import (
 )
 from orthosum.freegroup import Word, WordTuple, gamma_indices
 from orthosum.lab import FamilySpec, make_family
-from orthosum.orthogonality import moment_table, psi
+from orthosum.orthogonality import MomentTable, psi
 from orthosum.partitions import SetPartition, all_partitions
 
 
@@ -165,7 +165,7 @@ def test_factorization_scalar_single_index():
 def test_factorization_all_tuples_random_family(seed):
     fam = random_family(2, 2, 2, seed=200 + seed)
     scale = family_scale(fam, 4)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     parts = [s for s in all_partitions(4) if s.num_blocks < 4]
     for sig in product(parts, repeat=2):
         report = factorization_check(fam, sig, 4, table=table)
@@ -209,7 +209,7 @@ def test_holder_bound_on_random_tuples(seed):
     r = rng(300 + seed)
     fam = random_family(2, 2, 2, seed=300 + seed)
     parts = [s for s in all_partitions(4) if s.num_blocks < 4]
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     idx = r.integers(0, len(parts), size=2)
     sig = (parts[idx[0]], parts[idx[1]])
     report = factor_norm_report(fam, sig, 4, table=table)
@@ -218,7 +218,7 @@ def test_holder_bound_on_random_tuples(seed):
 
 def test_factor_norm_report_carries_factorization_check():
     fam = random_family(2, 2, 2, seed=7)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     parts = [s for s in all_partitions(4) if s.num_blocks < 4]
     for sig in list(product(parts, repeat=2))[::23]:
         carried = factor_norm_report(fam, sig, 4, table=table).check
@@ -239,7 +239,7 @@ def test_block_anatomy_reads_the_partition_codes():
 
 def test_factor_norm_report_builds_the_block_anatomy_once(monkeypatch):
     fam = random_family(2, 2, 2, seed=8)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     built = []
     original = BlockAnatomy.from_sigmas
 
@@ -255,7 +255,7 @@ def test_factor_norm_report_builds_the_block_anatomy_once(monkeypatch):
 
 def test_factor_construction_is_budgeted():
     fam = random_family(2, 2, 2, seed=9)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     sig = (SetPartition.one_block(4), SetPartition.from_blocks([[1, 3], [2, 4]]))
     needed = 4 * 2**2
     assert len(build_factors(fam, sig, 4, budget=needed)) == 4

@@ -9,19 +9,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orthosum.errors import SizeLimitError
-from itertools import islice
-
 from orthosum.freegroup import (
     Word,
     WordFamily,
     WordTuple,
-    _index_functions,
     canonical_dissociate,
     code_inverse,
     code_multiply,
     format_word,
     gamma_indices,
-    has_injective_projection,
     inverse,
     is_p_dissociate,
     parse_word,
@@ -29,7 +25,7 @@ from orthosum.freegroup import (
     word_family_to_json,
     word_multiply,
 )
-from orthosum.orthogonality import sigma_of
+from orthosum.orthogonality import _kernel_labels, has_injective_projection, sigma_of
 from orthosum.partitions import kernel_code, kernel_partition
 
 letters = st.lists(
@@ -177,6 +173,23 @@ def test_dissociate_budget_and_parity():
         is_p_dissociate(fam, 3)
 
 
+@pytest.mark.parametrize("p,budget", [(4, 10), (3, 10**7)])
+def test_refused_dissociate_check_builds_no_element(monkeypatch, p, budget):
+    from orthosum.algebra import GroupAlgebraElement
+
+    built = []
+    original = GroupAlgebraElement.__init__
+
+    def spy(self, *args):
+        built.append(1)
+        original(self, *args)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__init__", spy)
+    with pytest.raises(ValueError):
+        is_p_dissociate(canonical_dissociate(3, 2), p, budget=budget)
+    assert built == []
+
+
 def test_family_must_be_total():
     with pytest.raises(ValueError):
         WordFamily(n=2, d=1, words={(1,): g(1)})
@@ -198,8 +211,12 @@ def test_gamma_indices_are_lexicographic():
     st.integers(1, 3), st.integers(1, 2), st.sampled_from((2, 4)), st.integers(0, 10**6)
 )
 def test_index_functions_carry_the_kernel_code_of_each_column(n, d, p, pick):
-    h, codes = next(islice(_index_functions(n, d, p, 10**7, "t"), pick % n ** (d * p), None))
-    assert len(codes) == d
+    i = pick % n ** (d * p)
+    h = list(product(gamma_indices(n, d), repeat=p))[i]
+    labels, injective, kernels = _kernel_labels(n, d, p)
+    kernel = kernels[labels[i]]
+    assert kernel == tuple(sigma_of(h, k + 1) for k in range(d))
+    codes = tuple(sigma.rgs for sigma in kernel)
     for k in range(d):
         column = tuple(gamma[k] for gamma in h)
         assert codes[k] == kernel_code(column)
@@ -208,8 +225,9 @@ def test_index_functions_carry_the_kernel_code_of_each_column(n, d, p, pick):
         for s in range(p):
             for t in range(p):
                 assert (codes[k][s] == codes[k][t]) == (column[s] == column[t])
-    injective = any(len({gamma[k] for gamma in h}) == p for k in range(d))
-    assert (tuple(range(p)) in codes) == injective == has_injective_projection(h, d)
+    injective_h = any(len({gamma[k] for gamma in h}) == p for k in range(d))
+    assert (tuple(range(p)) in codes) == injective_h == has_injective_projection(h, d)
+    assert injective[i] == injective_h
 
 
 def first_identity_word(family, p):

@@ -346,6 +346,26 @@ def test_dissociate_equivalence_reports_finite_ratio():
     assert rep.lhs > 0 and rep.rhs > 0
 
 
+def test_dissociate_equivalence_takes_each_flattening_norm_once(monkeypatch):
+    from orthosum import lab
+    from orthosum.algebra import all_splits
+
+    n, d, p = 2, 3, 4
+    a = random_coeffs(n, d, 2, seed=63)
+    fam = OperatorFamily(n, d, MATRIX, a)
+    contiguous = [SplitPair.from_alpha(range(1, k + 1), d) for k in range(d + 1)]
+    want_rhs = max(lab.flattening_norm(fam, s, p) for s in contiguous)
+    want_all = max(lab.flattening_norm(fam, s, p) for s in all_splits(d))
+    calls = []
+    original = lab.flattening_norm
+    monkeypatch.setattr(
+        lab, "flattening_norm", lambda *args: calls.append(args[1]) or original(*args)
+    )
+    rep = dissociate_equivalence_report(a, n, d, p)
+    assert len(calls) == 2**d == len(set(calls))
+    assert (rep.rhs, rep.rhs_all_splits) == (want_rhs, want_all)
+
+
 def test_commutative_square_function_matches_flattening():
     # diagonal family: the row flattening norm equals the square-function norm
     fam = make_family(FamilySpec("rademacher", n=2, d=2, p=4, seed=62))

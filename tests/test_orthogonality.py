@@ -1,6 +1,7 @@
 """Moments, kernel partitions, and the decomposition identity, with brute-force sums."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from orthosum.errors import SizeLimitError
 from orthosum.freegroup import Word, WordTuple, gamma_indices
 from orthosum.lab import FamilySpec, make_family
 from orthosum.orthogonality import (
+    MomentTable,
     alternating_moment,
-    delta_of,
     has_injective_projection,
     is_p_orthogonal,
     mobius_decomposition_check,
-    moment_table,
     phi,
     psi,
     sigma_of,
@@ -48,6 +48,10 @@ def random_family(n, d, dim, seed):
 
 def all_index_functions(n, d, p):
     return product(gamma_indices(n, d), repeat=p)
+
+
+def delta_of(h):
+    return tuple(sigma_of(h, k) for k in range(1, len(h[0]) + 1))
 
 
 def test_has_injective_projection():
@@ -162,7 +166,7 @@ def test_phi_top_kernel_is_constant_sum():
 @pytest.mark.parametrize("n,d,p,dim", [(2, 1, 4, 2), (2, 2, 4, 2)])
 def test_phi_sums_to_total_moment(n, d, p, dim):
     fam = random_family(n, d, dim, seed=n * 10 + d)
-    table = moment_table(fam, p)
+    table = MomentTable(fam, p)
     total_by_phi = sum(
         phi(fam, eta, p, table=table)
         for eta in product(all_partitions(p), repeat=d)
@@ -198,7 +202,7 @@ def test_psi_top_constraint_gives_constant_sum():
 
 def test_psi_equals_sum_of_dominating_phi():
     fam = random_family(2, 2, 2, seed=12)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     sig = (
         SetPartition.from_blocks([[1, 2], [3], [4]]),
         SetPartition.from_blocks([[1], [2], [3, 4]]),
@@ -248,14 +252,14 @@ def test_decomposition_flip_order_also_holds():
 
 def test_moment_table_counts():
     fam = random_family(2, 2, 2, seed=13)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     assert table.count == 4**4
     assert sum(table.phi_map.values()) == pytest.approx(table.total)
 
 
 def test_group_algebra_moment_table_matches_generic_path():
     fam = make_family(FamilySpec("free_generators", n=2, d=1, p=4))
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     total = sum(reference_moment(fam, h) for h in all_index_functions(2, 1, 4))
     assert table.total == pytest.approx(total)
 
@@ -290,9 +294,21 @@ MOMENT_FAMILIES = {
 
 
 def test_has_injective_projection_is_defined_once():
+    import ast
+
+    import orthosum
     from orthosum import freegroup, orthogonality
 
-    assert orthogonality.has_injective_projection is freegroup.has_injective_projection
+    assert orthogonality.has_injective_projection.__module__ == "orthosum.orthogonality"
+    assert orthosum.has_injective_projection is orthogonality.has_injective_projection
+    assert not hasattr(freegroup, "has_injective_projection")
+    tree = ast.parse(Path(freegroup.__file__).read_text())
+    imported = {
+        (node.module or "").removeprefix("orthosum.")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert not imported & {"partitions", "algebra", "orthogonality"}
 
 
 @pytest.mark.parametrize("adjoint_first", [True, False])
@@ -319,7 +335,7 @@ def test_is_p_orthogonal_matches_reference(kind):
 
 def test_moment_table_matches_reference_on_multi_term_family():
     fam = multi_term_family(24)
-    table = moment_table(fam, 4)
+    table = MomentTable(fam, 4)
     total = sum(reference_moment(fam, h) for h in all_index_functions(2, 1, 4))
     assert abs(table.total - total) <= 1e-12 * (1.0 + abs(total))
 
@@ -364,7 +380,7 @@ ORACLE_FAMILIES = [
 @pytest.mark.parametrize("kind,dim", ORACLE_FAMILIES)
 def test_batched_moment_table_matches_sequential_reference(kind, dim, adjoint_first, n, d, p):
     fam = make_family(FamilySpec(kind, n=n, d=d, p=p, dim=dim, seed=31 + dim))
-    table = moment_table(fam, p, adjoint_first=adjoint_first)
+    table = MomentTable(fam, p, adjoint_first=adjoint_first)
     total, injective, by_kernel = sequential_table(fam, p, adjoint_first)
 
     def close(got, want):
@@ -391,14 +407,14 @@ def test_moment_table_in_many_blocks_equals_one_block(monkeypatch, make, block):
     from orthosum import orthogonality
 
     fam = make()
-    whole = moment_table(fam, 4)
+    whole = MomentTable(fam, 4)
     monkeypatch.setattr(orthogonality, "_BLOCK", block)
     runs = [len(run) for _, run in orthogonality._prefix_walk(fam, 4, True)]
     assert len(runs) > 1 and sum(runs) == 4**4
     # a run's products hold at most `block` entries, or it is one prefix's K completions
     entries = fam.coeff_dim**2 if fam.kind == MATRIX else 1
     assert max(runs) * entries <= max(block, 4 * entries)
-    split = moment_table(fam, 4)
+    split = MomentTable(fam, 4)
     assert (split.total, split.injective_sum) == (whole.total, whole.injective_sum)
     assert list(split.phi_map.items()) == list(whole.phi_map.items())
 
@@ -408,7 +424,7 @@ def test_families_of_one_shape_share_labels_but_not_results():
 
     _kernel_labels.cache_clear()
     first, second = random_family(2, 2, 2, seed=51), random_family(2, 2, 2, seed=52)
-    tables = [moment_table(fam, 4) for fam in (first, second)]
+    tables = [MomentTable(fam, 4) for fam in (first, second)]
     info = _kernel_labels.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert tables[0].total != tables[1].total
@@ -526,7 +542,7 @@ def test_group_algebra_table_forms_each_prefix_product_once(monkeypatch, n, d, p
     fam = make_family(FamilySpec("free_generators", n=n, d=d, p=p))
     monkeypatch.setattr(orthogonality, "_BLOCK", block)
     calls = count_products(monkeypatch)
-    moment_table(fam, p)
+    MomentTable(fam, p)
     k = n**d
     assert len(calls) == sum(k**s for s in range(2, p + 1))
 
@@ -556,4 +572,4 @@ def test_overflowed_moment_raises_instead_of_passing():
     with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(2,\), \(3,\), \(4,\)\)"):
         is_p_orthogonal(fam, 4, 1.0)
     with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(1,\), \(1,\), \(1,\)\)"):
-        moment_table(fam, 4)
+        MomentTable(fam, 4)

@@ -1,0 +1,115 @@
+"""Compare two checkouts report by report over every benchmark report of some seeds.
+
+    python3 tools/compare_reports.py PARENT_DIR CHANGE_DIR --seeds 1 2
+
+Each checkout runs in one subprocess of its own: it imports ``orthosum`` from
+its ``src/`` and the workloads from its ``bench/workloads.py``, writes each
+workload's spec and partition files for every seed into a temporary
+directory, and runs every report as an in-process ``orthosum.cli.main`` call
+with BLAS pinned to one thread, as ``bench/run.py`` does.  Nothing under
+``bench/`` is written.  Two reports match when their exit codes are equal and
+their JSON is equal outside ``params``, which holds each checkout's own file
+paths.  The tool prints how many reports differ and names the first few; it
+exits 0 when none differ, 1 when some do and 2 when a checkout fails to run.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+#: Runs in the checkout's directory; argv[1] is the JSON list of seeds.
+_RUNNER = r"""
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
+
+sys.path[:0] = [str(Path.cwd() / "src"), str(Path.cwd() / "bench")]
+from orthosum import cli
+from workloads import WORKLOADS
+
+records = []
+for seed in json.loads(sys.argv[1]):
+    for name, workload in WORKLOADS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            for index, job in enumerate(workload.jobs(seed, Path(tmp))):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli.main(job.argv)
+                report = job.out.read_text() if job.out.exists() else None
+                records.append({"workload": name, "seed": seed, "index": index,
+                                "spec": job.spec, "rc": rc, "report": report})
+json.dump(records, sys.stdout)
+"""
+
+#: Differences named in the printout.
+SHOWN = 5
+_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def collect(checkout: Path, seeds: list[int]) -> list[dict]:
+    """Every benchmark report of ``seeds`` in ``checkout``: its key, spec, exit code and text."""
+    env = dict(os.environ, **dict.fromkeys(_THREADS, "1"))
+    env.pop("PYTHONPATH", None)
+    cmd = [sys.executable, "-c", _RUNNER, json.dumps(seeds)]
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{checkout}: report runner exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def _outside_params(text: str | None) -> str | None:
+    if text is None:
+        return None
+    report = json.loads(text)
+    report.pop("params", None)
+    return json.dumps(report, sort_keys=True)
+
+
+def _label(record: dict) -> str:
+    spec = json.dumps(record["spec"], sort_keys=True)
+    return f"{record['workload']} seed {record['seed']} report {record['index']} {spec}"
+
+
+def differences(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per report that is missing on a side or differs, in the parent's order."""
+    key = lambda r: (r["workload"], r["seed"], r["index"])
+    theirs = {key(r): r for r in change}
+    out = []
+    for mine in parent:
+        other = theirs.pop(key(mine), None)
+        if other is None:
+            out.append(f"{_label(mine)}: missing in the change")
+        elif mine["rc"] != other["rc"]:
+            out.append(f"{_label(mine)}: exit code {mine['rc']} != {other['rc']}")
+        elif _outside_params(mine["report"]) != _outside_params(other["report"]):
+            out.append(f"{_label(mine)}: report differs outside params")
+    out += [f"{_label(r)}: missing in the parent" for r in theirs.values()]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+    try:
+        parent, change = (collect(c, args.seeds) for c in (args.parent, args.change))
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    diff = differences(parent, change)
+    seeds = " ".join(map(str, args.seeds))
+    print(f"{len(diff)} of {len(parent)} reports differ (seeds {seeds})")
+    for line in diff[:SHOWN]:
+        print(f"  {line}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
