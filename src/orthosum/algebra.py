@@ -9,7 +9,9 @@ x* x otherwise; the two traces are equal by cyclicity, and square matrices,
 the family members, keep x* x.
 
 A group-algebra element keeps its word tuples as sorted integer codes (see
-:mod:`orthosum.freegroup`) beside one stack of coefficients.  A product forms
+:mod:`orthosum.freegroup`) beside one stack of coefficients; the package builds
+every element from codes, and ``WordTuple`` is only the parse and format
+boundary (``build``, ``monomial``, ``terms``, ``ga_from_json``).  A product forms
 its coefficient products by batched matmul and sums those of equal words in
 pair order, the terms of x outer and those of y inner, both in sorted word
 order; each sum runs from its first product, so it is bit for bit the running
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p
 from .errors import json_int, json_object
-from .freegroup import WordTuple, code_inverse, code_multiply, format_word
-from .freegroup import gamma_indices, letter_code, parse_word
+from .freegroup import Word, WordTuple, check_grid, code_inverse, code_multiply
+from .freegroup import format_word, gamma_indices, letter_code, parse_word
 
 #: A tracial matrix is a square complex ndarray with trace functional Tr/N.
 TracialMatrix = np.ndarray
@@ -372,7 +374,7 @@ def _gram_power_identity_coeff(
     in sorted order; for k = 1 it is read off x* x directly.
     """
     check_even_p(p)
-    check_budget(max(x.term_count, 1) ** p, budget, "even-norm word expansion")
+    check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
     gram = ga_multiply(ga_adjoint(x), x)
     k = p // 2
     if k == 1:
@@ -425,6 +427,12 @@ def generator_sum(
     return GroupAlgebraElement.from_codes(d, n, stack.shape[1:], keys, stack)
 
 
+def word_sum(n: int, words: Sequence[Word], coeffs) -> GroupAlgebraElement:
+    """Sum of coeffs[i] against words[i] in the group algebra of F_n (arity 1)."""
+    stack, keys = np.stack(coeffs).astype(complex, copy=False), [(w.codes,) for w in words]
+    return GroupAlgebraElement.from_codes(1, n, stack.shape[1:], keys, stack)
+
+
 @dataclass
 class OperatorFamily:
     """A [n]^d-indexed family, either of tracial matrices or of group-algebra elements."""
@@ -437,9 +445,7 @@ class OperatorFamily:
     def __post_init__(self):
         if self.kind not in (MATRIX, GROUP_ALGEBRA):
             raise ValueError(f"unknown kind {self.kind!r}")
-        expected = gamma_indices(self.n, self.d)
-        if set(self.values) != set(expected):
-            raise ValueError(f"family must be a total map on [{self.n}]^{self.d}")
+        check_grid(self.values, self.n, self.d)
         if self.kind == MATRIX:
             dims = {as_tracial_matrix(v).shape for v in self.values.values()}
             if len(dims) != 1:

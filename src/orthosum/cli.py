@@ -113,7 +113,10 @@ def _cmd_mobius(args) -> tuple[dict, list[dict], int | None]:
 def _cmd_dissociate(args) -> tuple[dict, list[dict], int | None]:
     if args.family.startswith("canonical:"):
         n, d = (int(x) for x in args.family.split(":", 1)[1].split(","))
-        check_budget(n**d, args.budget, "family members")
+        if n < 1 or d < 1:
+            raise ValueError(f"canonical:n,d needs positive n and d, got {n},{d}")
+        check_budget(n, args.budget, "family members", d)
+        check_budget(n**d * d, args.budget, "word letters")
         family = canonical_dissociate(n, d)
     else:
         with open(args.family) as fh:
@@ -171,8 +174,7 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
     if args.sigmas:
         tuples = [_parse_sigmas(args.sigmas)]
     else:
-        needed = (bell(spec.p) - 1) ** fam.d
-        check_budget(needed, args.budget, "partition-tuple enumeration")
+        check_budget(bell(spec.p) - 1, args.budget, "partition-tuple enumeration", fam.d)
         parts = [s for s in all_partitions(spec.p) if s.num_blocks < spec.p]
         tuples = list(product(parts, repeat=fam.d))
     max_err = 0.0

@@ -55,9 +55,16 @@ def json_object(value, keys: tuple[str, ...], what: str) -> dict:
     return value
 
 
-def check_budget(count: int, budget: int, what: str) -> None:
-    """Raise SizeLimitError when an enumeration of ``count`` items exceeds ``budget``."""
-    if count > budget:
-        raise SizeLimitError(
-            f"{what} needs {count} items, exceeding the budget of {budget}"
-        )
+def check_budget(count: int, budget: int, what: str, exp: int = 1) -> None:
+    """Raise SizeLimitError when an enumeration of ``count ** exp`` items exceeds ``budget``.
+
+    A power with more than about twice the bits of ``budget`` is never formed:
+    it is refused from ``exp * floor(log2 count)`` and named by its shape.
+    """
+    if exp > 1 and count > 1 and exp * (count.bit_length() - 1) > budget.bit_length():
+        need = f"{count}^{exp}"
+    elif (total := count**exp) > budget:
+        need = str(total)
+    else:
+        return
+    raise SizeLimitError(f"{what} needs {need} items, exceeding the budget of {budget}")

@@ -25,7 +25,7 @@ from .algebra import (
     schatten_even_norm,
 )
 from .errors import DEFAULT_BUDGET, KindError, check_budget
-from .freegroup import WordTuple, letter_code
+from .freegroup import letter_code
 from .orthogonality import MomentTable, psi
 from .partitions import SetPartition
 
@@ -59,9 +59,8 @@ def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
         def xi(i: int) -> GroupAlgebraElement:
             words = [()] * (m - 1)
             _place_telescope(words, 0, r, m, i)
-            return GroupAlgebraElement.monomial(
-                m - 1, n, WordTuple.from_codes(words), np.eye(1)
-            )
+            unit = np.ones((1, 1, 1), dtype=complex)
+            return GroupAlgebraElement.from_codes(m - 1, n, (1, 1), [tuple(words)], unit)
 
         return xi
 

@@ -11,8 +11,9 @@ a word is the tuple of its letter codes and a word tuple the tuple of its
 words.  The code preserves order ((g, e) < (g', e') exactly when their codes
 compare so), hence sorting coded word tuples sorts them as :class:`WordTuple`
 does; the inverse of a letter is ``c ^ 1`` and free reduction cancels a code
-against a neighbour ``c ^ 1``.  :class:`Word` and :class:`WordTuple` are the
-parse and format types, validated where words enter or leave the arithmetic.
+against a neighbour ``c ^ 1``.  :class:`Word` and :class:`WordTuple` exist
+only at the boundary, the types that words are parsed into and formatted
+from; no element the package builds goes through them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 
@@ -182,6 +183,24 @@ def gamma_indices(n: int, d: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n + 1), repeat=d))
 
 
+def check_grid(keys: Collection, n: int, d: int) -> None:
+    """ValueError unless ``keys`` are [n]^d: n^d of them, each a d-tuple in [1, n].
+
+    Counted, not enumerated: n^d is formed only when d is at most the bit
+    length of len(keys); past it, n^d > len(keys) whenever n >= 2.
+    """
+    size, span = max(n, 0), range(1, n + 1)
+    if (
+        d < 0
+        or (size > 1 and d > len(keys).bit_length())
+        or size**d != len(keys)
+        or not all(
+            isinstance(k, tuple) and len(k) == d and all(i in span for i in k) for k in keys
+        )
+    ):
+        raise ValueError(f"family must be a total map on [{n}]^{d}")
+
+
 @dataclass
 class WordFamily:
     """Words of a single free group indexed by the grid [n]^d.
@@ -195,9 +214,7 @@ class WordFamily:
     words: dict[tuple[int, ...], Word]
 
     def __post_init__(self):
-        expected = set(gamma_indices(self.n, self.d))
-        if set(self.words) != expected:
-            raise ValueError(f"family must be a total map on [{self.n}]^{self.d}")
+        check_grid(self.words, self.n, self.d)
 
 
 def canonical_dissociate(n: int, d: int) -> WordFamily:
@@ -227,16 +244,13 @@ def is_p_dissociate(
     identity product.  On failure the witness is the first violating h.  p and
     the n^(dp) index functions are checked before any monomial is built.
     """
-    from .algebra import GROUP_ALGEBRA, GroupAlgebraElement, OperatorFamily
+    from .algebra import GROUP_ALGEBRA, OperatorFamily, word_sum
     from .orthogonality import is_p_orthogonal
 
     check_even_p(p)
-    check_budget(family.n ** (family.d * p), budget, "dissociate enumeration")
+    check_budget(family.n, budget, "dissociate enumeration", family.d * p)
     group_n = max(w.max_generator for w in family.words.values())
-    values = {
-        gamma: GroupAlgebraElement.monomial(1, group_n, WordTuple((w,)), [[1.0]])
-        for gamma, w in family.words.items()
-    }
+    values = {g: word_sum(group_n, [w], [[[1.0]]]) for g, w in family.words.items()}
     units = OperatorFamily(family.n, family.d, GROUP_ALGEBRA, values)
     report = is_p_orthogonal(units, p, 0.0, budget)
     return DissociateReport(ok=report.worst_h is None, witness=report.worst_h)

@@ -37,6 +37,7 @@ from .algebra import (
     ga_vv_norm,
     generator_sum,
     vv_norm,
+    word_sum,
 )
 from .errors import (
     DEFAULT_BUDGET,
@@ -48,7 +49,6 @@ from .errors import (
 )
 from .freegroup import (
     Word,
-    WordTuple,
     canonical_dissociate,
     gamma_indices,
     is_p_dissociate,
@@ -153,17 +153,13 @@ class FamilySpec:
             return cls.from_json(json.load(fh))
 
 
-def _rademacher_columns(n: int, d: int) -> np.ndarray:
-    """Sign table of shape (2^(n d), n d); column (k-1)n + (i-1) is r_{k,i}."""
-    cols = n * d
-    return np.array(list(product((1.0, -1.0), repeat=cols)))
+def _rademacher_products(n: int, d: int, gammas) -> list[np.ndarray]:
+    """r_{1,i_1} ... r_{d,i_d} of each gamma over the 2^(nd) sign patterns.
 
-
-def _rademacher_product(signs: np.ndarray, gamma: tuple[int, ...], n: int) -> np.ndarray:
-    vec = np.ones(signs.shape[0])
-    for k, i in enumerate(gamma):
-        vec = vec * signs[:, k * n + (i - 1)]
-    return vec
+    Column (k-1)n + (i-1) of the sign table is r_{k,i}; products of signs are exact.
+    """
+    signs = np.array(list(product((1.0, -1.0), repeat=n * d)))
+    return [signs[:, [k * n + i - 1 for k, i in enumerate(g)]].prod(axis=1) for g in gammas]
 
 
 def make_family(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> OperatorFamily:
@@ -171,27 +167,25 @@ def make_family(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> OperatorFamil
 
     Word-based kinds are p-orthogonal exactly; Rademacher kinds to machine
     precision.  The dissociate kind certifies its word family first and
-    raises with a witness if certification fails.  The n^d members of a
-    generated family are charged to the budget before any is built.
+    raises with a witness if certification fails.  Before anything is built,
+    the budget is charged the n^d members, for Rademacher kinds the 2^(nd)
+    rows of their sign table, and the member entries: per member its D^2
+    coefficients (D is dim, 2^(nd) or dim 2^(nd)) or, if more, its d indices.
     """
     if spec.kind == FILE:
         with open(spec.path) as fh:
             return family_from_json(json.load(fh))
-    check_budget(spec.n**spec.d, budget, "family members")
+    check_budget(spec.n, budget, "family members", spec.d)
+    side = 1 if spec.kind == RADEMACHER else spec.dim
+    if spec.kind in (RADEMACHER, MARTINGALE_RADEMACHER):
+        check_budget(2, budget, "sign table rows", spec.n * spec.d)
+        side <<= spec.n * spec.d
+    check_budget(spec.n**spec.d * max(spec.d, side * side), budget, "member entries")
     rng = make_rng(spec.seed)
     gammas = gamma_indices(spec.n, spec.d)
 
     if spec.kind == FREE_GENERATORS:
-        coeff = np.eye(spec.dim)
-        values = {
-            g: GroupAlgebraElement.monomial(
-                spec.d,
-                spec.n,
-                WordTuple(tuple(Word(((i, 1),)) for i in g)),
-                coeff,
-            )
-            for g in gammas
-        }
+        values = {g: generator_sum({g: np.eye(spec.dim)}, spec.n, spec.d) for g in gammas}
         return OperatorFamily(spec.n, spec.d, GROUP_ALGEBRA, values)
 
     if spec.kind == DISSOCIATE:
@@ -207,34 +201,21 @@ def make_family(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> OperatorFamil
             raise ConstructionError(
                 f"word family is not {spec.p}-dissociate", witness=report.witness
             )
-        group_n = max(w.max_generator for w in words.words.values())
+        group_n = max(1, *(w.max_generator for w in words.words.values()))
         values = {
-            g: GroupAlgebraElement.monomial(
-                1,
-                max(group_n, 1),
-                WordTuple((words.words[g],)),
-                random_complex_matrix(rng, spec.dim),
-            )
+            g: word_sum(group_n, [words.words[g]], [random_complex_matrix(rng, spec.dim)])
             for g in gammas
         }
         return OperatorFamily(spec.n, spec.d, GROUP_ALGEBRA, values)
 
     if spec.kind == RADEMACHER:
-        signs = _rademacher_columns(spec.n, spec.d)
-        values = {}
-        for g in gammas:
-            c = rng.standard_normal()
-            values[g] = np.diag(c * _rademacher_product(signs, g, spec.n)).astype(
-                complex
-            )
+        signs = zip(gammas, _rademacher_products(spec.n, spec.d, gammas))
+        values = {g: np.diag(rng.standard_normal() * r).astype(complex) for g, r in signs}
         return OperatorFamily(spec.n, spec.d, MATRIX, values)
 
     if spec.kind == MARTINGALE_RADEMACHER:
-        signs = _rademacher_columns(spec.n, spec.d)
-        values = {}
-        for g in gammas:
-            a = random_complex_matrix(rng, spec.dim)
-            values[g] = np.kron(a, np.diag(_rademacher_product(signs, g, spec.n)))
+        signs = zip(gammas, _rademacher_products(spec.n, spec.d, gammas))
+        values = {g: np.kron(random_complex_matrix(rng, spec.dim), np.diag(r)) for g, r in signs}
         return OperatorFamily(spec.n, spec.d, MATRIX, values)
 
     if spec.kind == RANDOM_MATRIX:
@@ -428,29 +409,13 @@ def absorption_check(
         gap = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
         if gap > 1e-12:
             raise ValueError(f"matrix is not unitary (defect {gap:.3e})")
-    group_n = max(
-        max((w.max_generator for w in a), default=0), len(unis)
-    )
-    plain_terms: dict[WordTuple, np.ndarray] = {}
-    twisted_terms: dict[WordTuple, np.ndarray] = {}
-    coeff_dim = None
-    for word in sorted(a):
-        coeff = as_tracial_matrix(a[word])
-        if word.max_generator > len(unis):
-            raise ValueError("word uses a generator with no unitary image")
-        coeff_dim = coeff.shape[0]
-        key = WordTuple((word,))
-        plain_terms[key] = coeff
-        twisted_terms[key] = np.kron(coeff, _pi_of_word(word, unis))
-    plain = GroupAlgebraElement.build(
-        1, group_n, (coeff_dim, coeff_dim), plain_terms
-    )
-    twisted_dim = coeff_dim * unis[0].shape[0]
-    twisted = GroupAlgebraElement.build(
-        1, group_n, (twisted_dim, twisted_dim), twisted_terms
-    )
-    lhs = ga_even_norm(twisted, p, budget)
-    rhs = ga_even_norm(plain, p, budget)
+    words = list(a)
+    if max(w.max_generator for w in words) > len(unis):
+        raise ValueError("word uses a generator with no unitary image")
+    plain = [as_tracial_matrix(a[w]) for w in words]
+    twisted = [np.kron(c, _pi_of_word(w, unis)) for c, w in zip(plain, words)]
+    lhs = ga_even_norm(word_sum(len(unis), words, twisted), p, budget)
+    rhs = ga_even_norm(word_sum(len(unis), words, plain), p, budget)
     return AbsorptionReport(lhs=float(lhs), rhs=float(rhs), abs_err=float(abs(lhs - rhs)))
 
 
@@ -520,7 +485,7 @@ def phi_r_bound_check(
     check_even_p(p)
     if d < 1 or not 0 <= r <= p:
         raise ValueError(f"bad (d, r) = ({d}, {r})")
-    check_budget(bell(p) ** d, budget, "partition-tuple enumeration")
+    check_budget(bell(p), budget, "partition-tuple enumeration", d)
     parts = [s for s in all_partitions(p) if s.num_blocks < p]
     zero = SetPartition.singletons(p)
     absmu = {s: abs(mobius(zero, s)) for s in parts}
@@ -560,15 +525,11 @@ def dissociate_equivalence_report(
     ``rhs_all_splits`` over all 2^d.  Constants are not asserted; both sides
     are reported.
     """
-    words = canonical_dissociate(n, d)
-    terms = {
-        WordTuple((words.words[g],)): as_tracial_matrix(a[g])
-        for g in gamma_indices(n, d)
-    }
-    probe = next(iter(terms.values()))
-    element = GroupAlgebraElement.build(1, n, probe.shape, terms)
-    lhs = ga_even_norm(element, p, budget)
-    coeff_fam = OperatorFamily(n, d, MATRIX, {g: a[g] for g in gamma_indices(n, d)})
+    check_budget(n, budget, "family members", d)
+    words = canonical_dissociate(n, d).words
+    coeffs = [as_tracial_matrix(a[g]) for g in words]
+    lhs = ga_even_norm(word_sum(n, list(words.values()), coeffs), p, budget)
+    coeff_fam = OperatorFamily(n, d, MATRIX, {g: a[g] for g in words})
     norms = {s: flattening_norm(coeff_fam, s, p, budget) for s in all_splits(d)}
     rhs = max(v for s, v in norms.items() if s.alpha == tuple(range(1, len(s.alpha) + 1)))
     return DissociateEquivalenceReport(lhs=lhs, rhs=rhs, rhs_all_splits=max(norms.values()))

@@ -108,7 +108,7 @@ def is_p_orthogonal(
 ) -> MomentReport:
     """Largest alternating moment over index functions with an injective projection."""
     check_even_p(p)
-    check_budget(f.n ** (f.d * p), budget, "index-function enumeration")
+    check_budget(f.n, budget, "index-function enumeration", f.d * p)
     # a coordinate injective on [p] is injective on every prefix: the pruning is exact
     live = lambda prefix: f.n >= p and has_injective_projection(prefix, f.d)
     worst, worst_abs, count = None, 0.0, 0
@@ -245,8 +245,8 @@ class MomentTable:
         adjoint_first: bool = True,
     ):
         check_even_p(p)
+        check_budget(f.n, budget, "index-function enumeration", f.d * p)
         self.count = f.n ** (f.d * p)
-        check_budget(self.count, budget, "index-function enumeration")
         self.family = f
         self.p = p
         self.adjoint_first = adjoint_first
@@ -273,12 +273,14 @@ def _table_for(
     budget: int,
     table: MomentTable | None,
 ) -> MomentTable:
-    """Check a partition tuple against the family; the given table or a new one."""
+    """Check a partition tuple and a given table (this family's, at p, adjoint first)."""
     if len(entries) != f.d:
         raise ValueError(f"expected {f.d} partitions, got {len(entries)}")
     for sigma in entries:
         if sigma.ground_size != p:
             raise ValueError(f"partition ground size {sigma.ground_size} != {p}")
+    if table is not None and (table.family is not f or table.p != p or not table.adjoint_first):
+        raise ValueError(f"the moment table is not this family's at p = {p}, adjoint first")
     return MomentTable(f, p, budget) if table is None else table
 
 

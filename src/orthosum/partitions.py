@@ -37,8 +37,15 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        elements = sorted([e for block in self.blocks for e in block])
-        if not all(self.blocks) or elements != list(range(1, self.ground_size + 1)):
+        # 1..m exactly, by counting: m distinct elements, each in 1..m
+        elements = [e for block in self.blocks for e in block]
+        size, span = max(self.ground_size, 0), range(1, self.ground_size + 1)
+        if (
+            not all(self.blocks)
+            or len(elements) != size
+            or len(set(elements)) != size
+            or not all(e in span for e in elements)
+        ):
             raise ValueError(
                 f"blocks {self.blocks} do not partition 1..{self.ground_size}"
             )

@@ -465,3 +465,71 @@ def test_main_builds_no_parser(monkeypatch, capsys):
         code, out, _ = run(capsys, "sublemma", "--p", "4", "--D", "1.0")
         assert code == 0 and json.loads(out)["command"] == "sublemma"
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["dissociate", "--family", "canonical:10,1000000", "--p", "2"], "10^1000000"),
+        (["dissociate", "--family", "canonical:1000000,1000000", "--p", "2"], "1000000^1000000"),
+        (["ortho", "--spec", {"kind": "random_matrix", "n": 10, "d": 100000, "p": 2}], "10^100000"),
+    ],
+)
+def test_huge_shapes_are_refused_by_their_shape_without_forming_it(tmp_path, capsys, argv, shape):
+    argv = [spec_file(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err.startswith("size limit: family members needs " + shape + " items")
+
+
+def test_canonical_word_letters_are_charged_before_the_words_are_built(capsys):
+    argv = ["dissociate", "--family", "canonical:1,1000", "--p", "2", "--budget", "100"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "word letters needs 1000 items" in err
+
+
+def _peak_traced(fn):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        # a family file on [1500]^2 holding one value
+        (
+            ["ortho", "--spec", "spec.json", "--budget", "10"],
+            {"family.json": {"n": 1500, "d": 2, "values": {"1,1": {"dim": 1, "entries": [[1, 0]]}}},
+             "spec.json": {"kind": "file", "path": "family.json", "p": 2}},
+        ),
+        # a word family whose keys imply [1500]^2
+        (
+            ["dissociate", "--family", "words.json", "--p", "2"],
+            {"words.json": {"1,1": "g1", "1500,1500": "g2"}},
+        ),
+        # a partition of 1..3000000 with two elements
+        (
+            ["factorize", "--spec", "spec.json", "--sigmas", "sigmas.json"],
+            {"sigmas.json": ["1|3000000"],
+             "spec.json": {"kind": "random_matrix", "n": 2, "d": 1, "p": 4, "dim": 1}},
+        ),
+    ],
+)
+def test_validators_count_instead_of_enumerating(tmp_path, capsys, command, files):
+    for name, content in files.items():
+        if "path" in content:
+            content = {**content, "path": str(tmp_path / content["path"])}
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    (code, out, err), peak = _peak_traced(lambda: run(capsys, *argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert peak < 4 << 20

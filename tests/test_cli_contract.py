@@ -1,0 +1,281 @@
+"""Property test of the CLI contract on generated argv and input files.
+
+Every run goes through ``cli.main`` in-process under a small ``--budget``:
+the exit code is 0, 1 or 2; exit 2 prints nothing on stdout and no traceback;
+exit 0 and 1 print a strict-JSON report with the README schema; and a valid
+``random_matrix`` spec agrees with the numpy-only ``bench/oracle.py``.
+
+Integer fields take extreme values too (2^63, 10^100, ...), which the budget
+and the counting validators refuse before anything of that size is built.  The
+order p stays small: a large p with n = 1 still runs unbudgeted work.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from orthosum.cli import main
+
+_PATH = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+_SPEC = importlib.util.spec_from_file_location("bench_oracle", _PATH)
+oracle = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle)
+
+#: The agreement tolerance of the benchmark's oracle checks (relative).
+ORACLE_RTOL = 1e-9
+SCHEMA = {"command", "params", "seed", "results", "assertions"}
+FAMILY_COMMANDS = ("ortho", "decompose", "factorize", "inequality", "khintchine")
+KINDS = ("free_generators", "dissociate", "rademacher", "random_matrix", "martingale_rademacher")
+
+EXTREME = (0, -1, 2**40, 2**63, 2**64, 10**6, 10**100)
+extreme_int = st.sampled_from(EXTREME)
+malformed = st.sampled_from([None, True, 2.5, 1e400, "2", [], {}])
+small_p = st.sampled_from([-2, 0, 1, 2, 3, 4, 6])
+bad_value = st.one_of(extreme_int, malformed, small_p)
+
+
+def mutated(draw, obj, bad):
+    """``obj``, or a third of the time a copy with one key set to a value from ``bad[key]``."""
+    if draw(st.integers(0, 2)) < 2:
+        return obj
+    key = draw(st.sampled_from(sorted(bad)))
+    return {**obj, key: draw(bad[key])}
+
+
+@st.composite
+def matrix(draw):
+    dim = draw(st.integers(1, 2))
+    entries = [[draw(st.sampled_from([0.5, -1.0, 2.0])), 0.0]] * dim**2
+    return mutated(draw, {"dim": dim, "entries": entries}, dict.fromkeys(["dim", "entries"], bad_value))
+
+
+@st.composite
+def element(draw):
+    word = draw(st.sampled_from(["g1", "G2 g1", "e", "g1 g1", "g99999999999", "x1"]))
+    term = {"words": [word], "coeff": draw(matrix())}
+    return mutated(draw, {"arity": 1, "n": 2, "terms": [term]}, dict.fromkeys(["arity", "n", "terms"], bad_value))
+
+
+grid_key = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(lambda g: ",".join(map(str, g)))
+bad_key = st.sampled_from(["1500,1500", "0", "-1", "1,x", "", "9" * 30])
+
+
+@st.composite
+def family_file(draw):
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    keys = [",".join(map(str, g)) for g in oracle.grid(n, d)]
+    if draw(st.integers(0, 2)) == 2:
+        keys = draw(st.lists(st.one_of(grid_key, bad_key), max_size=3))
+    value = draw(st.one_of(matrix(), element()))
+    return mutated(draw, {"n": n, "d": d, "values": {k: value for k in keys}}, dict.fromkeys(["n", "d"], bad_value))
+
+
+word_file = st.one_of(
+    st.dictionaries(
+        st.one_of(grid_key, bad_key), st.sampled_from(["g1", "g2", "g1 g2", "G1", "e", "q"]),
+        max_size=4,
+    ),
+    st.just({"1,1": "g1", "1500,1500": "g2"}),
+    st.just(["g1"]),
+)
+sigmas_file = st.one_of(
+    st.lists(st.sampled_from(["1,2", "1,2|3,4", "1,3|2,4", "1|2|3|4", "1|3000000",
+                              "m=3000000:1", "1,1", "", "a"]), max_size=3),
+    st.just([5]),
+    st.just("1,2"),
+)
+
+
+@st.composite
+def spec(draw):
+    out = {
+        "kind": draw(st.sampled_from(KINDS + ("file",))),
+        "n": draw(st.integers(1, 3)),
+        "d": draw(st.integers(1, 2)),
+        "p": draw(st.sampled_from([2, 4])),
+        "dim": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    if out["kind"] == "file" or out["kind"] == "dissociate" and draw(st.booleans()):
+        out["path"] = "family.json" if out["kind"] == "file" else "words.json"
+    bad = dict.fromkeys(["n", "d", "dim", "seed"], bad_value)
+    return mutated(draw, out, {**bad, "p": st.one_of(small_p, malformed)})
+
+
+@st.composite
+def invocation(draw):
+    """(argv, files): the files are written to a fresh directory, argv names them."""
+    files = {
+        "family.json": draw(family_file()),
+        "words.json": draw(word_file),
+        "sigmas.json": draw(sigmas_file),
+        "spec.json": draw(spec()),
+    }
+    command = draw(st.sampled_from(FAMILY_COMMANDS + ("dissociate", "mobius", "sublemma")))
+    if command in FAMILY_COMMANDS:
+        argv = [command, "--spec", "spec.json"]
+        if command != "khintchine" and draw(st.integers(0, 2)) == 2:
+            argv += ["--p", str(draw(small_p))]
+        if command == "factorize" and draw(st.booleans()):
+            argv += ["--sigmas", "sigmas.json"]
+        if draw(st.integers(0, 3)) == 3:
+            argv += ["--seed", str(draw(st.one_of(st.integers(0, 2**64 - 1), extreme_int)))]
+    elif command == "dissociate":
+        n, d = draw(extreme_int | st.integers(1, 3)), draw(extreme_int | st.integers(1, 2))
+        family = draw(st.sampled_from([f"canonical:{n},{d}", "words.json", "canonical:2", "canonical:x,1"]))
+        argv = [command, "--family", family, "--p", str(draw(small_p | extreme_int))]
+    elif command == "mobius":
+        argv = [command, "--m", str(draw(st.integers(-1, 6) | extreme_int))]
+    else:
+        p = draw(small_p | extreme_int)
+        D = draw(st.sampled_from(["1.0", "0.5", "0", "-1", "nan", "inf", "1e-300", "1e300"]))
+        argv = [command, "--p", str(p), "--D", D]
+    return argv + ["--budget", str(draw(st.sampled_from([10000, 300, 10])))], files
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def run_cli(argv, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, content in files.items():
+            if name == "spec.json" and "path" in content:
+                content = {**content, "path": str(root / content["path"])}
+            (root / name).write_text(json.dumps(content))
+        argv = [str(root / a) if a.endswith(".json") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def effective_matrix_spec(argv, files):
+    """(n, d, p, dim, seed) of a valid random_matrix spec, or None."""
+    spec = files["spec.json"]
+    if argv[0] not in FAMILY_COMMANDS or spec["kind"] != "random_matrix":
+        return None
+    fields = [spec[k] for k in ("n", "d", "p", "dim", "seed")]
+    if "--p" in argv:
+        fields[2] = int(argv[argv.index("--p") + 1])
+    if "--seed" in argv:
+        fields[4] = int(argv[argv.index("--seed") + 1])
+    if not all(type(x) is int for x in fields):
+        return None
+    n, d, p, dim, seed = fields
+    if 1 <= n <= 3 and 1 <= d <= 2 and 1 <= dim <= 2 and p in (2, 4, 6) and 0 <= seed < 2**64:
+        return n, d, p, dim, seed
+    return None
+
+
+def close(got, want):
+    return abs(got - want) <= ORACLE_RTOL * abs(want)
+
+
+def check_against_oracle(report, shape):
+    n, d, p, dim, seed = shape
+    family = oracle.family_matrices("random_matrix", n, d, dim, seed)
+    results = report["results"]
+    assert report["seed"] == seed
+    if "scale" in results:
+        assert close(results["scale"], oracle.family_scale(family, p))
+    if "lhs" in results:
+        assert close(results["lhs"]["real"], oracle.sum_moment(family, p))
+    if "A" in results:
+        assert close(results["A"], oracle.sum_norm(family, p))
+    if "C" in results:
+        assert close(results["C"], oracle.max_flattening_norm(family, n, d, p))
+
+
+def random_matrix_spec(n, d, p, dim=2, seed=5, **extra):
+    return {"kind": "random_matrix", "n": n, "d": d, "p": p, "dim": dim, "seed": seed, **extra}
+
+
+PLAIN_FILES = {
+    "family.json": {"n": 1, "d": 1, "values": {"1": {"dim": 1, "entries": [[1.0, 0.0]]}}},
+    "words.json": {"1": "g1", "2": "g2"},
+    "sigmas.json": ["1,2|3,4"],
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(invocation())
+# the refusals that once enumerated or formed their whole input first
+@example((["dissociate", "--family", "canonical:10,1000000", "--p", "2", "--budget", "10"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 1, 2)}))
+@example((["ortho", "--spec", "spec.json", "--budget", "10"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(10, 100000, 2)}))
+@example((["ortho", "--spec", "spec.json", "--budget", "10"],
+          {**PLAIN_FILES, "spec.json": {"kind": "rademacher", "n": 10, "d": 1, "p": 2}}))
+@example((["ortho", "--spec", "spec.json", "--budget", "10"],
+          {**PLAIN_FILES, "family.json": {"n": 1500, "d": 2, "values": {
+              "1,1": {"dim": 1, "entries": [[1.0, 0.0]]}}},
+           "spec.json": {"kind": "file", "path": "family.json", "p": 2}}))
+@example((["dissociate", "--family", "words.json", "--p", "2", "--budget", "10"],
+          {**PLAIN_FILES, "words.json": {"1,1": "g1", "1500,1500": "g2"},
+           "spec.json": random_matrix_spec(1, 1, 2)}))
+@example((["factorize", "--spec", "spec.json", "--sigmas", "sigmas.json", "--budget", "3000"],
+          {**PLAIN_FILES, "sigmas.json": ["1|3000000"], "spec.json": random_matrix_spec(2, 1, 4)}))
+@example((["ortho", "--spec", "spec.json", "--budget", "300"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 10**6, 2, dim=1)}))
+@example((["dissociate", "--family", "canonical:1,1000", "--p", "2", "--budget", "300"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 1, 2)}))
+# found by the generator: a negative exponent reached the budget guard
+@example((["dissociate", "--family", "canonical:0,-1", "--p", "-2", "--budget", "10000"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 1, 2)}))
+# valid random_matrix reports against the oracle
+@example((["inequality", "--spec", "spec.json", "--budget", "3000"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(2, 2, 4)}))
+@example((["decompose", "--spec", "spec.json", "--p", "4", "--budget", "3000"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(3, 1, 2, seed=9)}))
+def test_cli_keeps_its_contract_on_generated_input(case):
+    argv, files = case
+    code, out, err = run_cli(argv, files)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        return
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert set(report) == SCHEMA
+    assert report["command"] == argv[0]
+    assert all({"name", "ok"} <= set(a) for a in report["assertions"])
+    assert (code == 0) == all(a["ok"] for a in report["assertions"])
+    shape = effective_matrix_spec(argv, files)
+    if shape is not None:
+        check_against_oracle(report, shape)
+
+
+@st.composite
+def valid_matrix_invocation(draw):
+    """A valid random_matrix spec under one family command, for the oracle."""
+    n, d, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.sampled_from([2, 4]))
+    spec = random_matrix_spec(n, d, p, dim=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**64 - 1)))
+    command = draw(st.sampled_from(FAMILY_COMMANDS))
+    argv = [command, "--spec", "spec.json", "--budget", "10000"]
+    sigmas = ["1,2"] * d
+    if command == "factorize":
+        if p == 4:
+            sigmas = draw(st.lists(st.sampled_from(["1,2|3,4", "1,3|2,4", "1|2,3|4", "1,2,3,4"]),
+                                   min_size=d, max_size=d))
+        argv += ["--sigmas", "sigmas.json"]
+    return argv, {**PLAIN_FILES, "sigmas.json": sigmas, "spec.json": spec}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(valid_matrix_invocation())
+def test_valid_random_matrix_reports_agree_with_the_oracle(case):
+    argv, files = case
+    code, out, err = run_cli(argv, files)
+    assert code in (0, 1), err
+    check_against_oracle(json.loads(out, parse_constant=_reject_constant), effective_matrix_spec(*case))

@@ -302,3 +302,14 @@ def test_factor_norm_report_runs_on_codes_through_module_ga_multiply(monkeypatch
         assert isinstance(wt, WordTuple)
         assert np.array_equal(coeff, factor.coefficient(wt))
         assert np.shares_memory(coeff, factor.coeffs)
+
+
+def test_factorization_reports_refuse_another_familys_moment_table():
+    f1, f2 = (random_family(2, 1, 2, seed=s) for s in (1, 2))
+    sig = (SetPartition.from_blocks([[1, 2], [3, 4]]),)
+    foreign = MomentTable(f1, 4)
+    with pytest.raises(ValueError, match="moment table"):
+        factorization_check(f2, sig, 4, table=foreign)
+    with pytest.raises(ValueError, match="moment table"):
+        factor_norm_report(f2, sig, 4, table=foreign)
+    assert factorization_check(f2, sig, 4, table=MomentTable(f2, 4)).abs_err <= 1e-9 * family_scale(f2, 4)

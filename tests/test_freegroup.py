@@ -4,6 +4,7 @@ import json
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -277,3 +278,49 @@ def test_dissociate_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
         for prefix in product(gamma_indices(n, d), repeat=s)
     )
     assert len(calls) == (live if n >= p else 0)
+
+
+def _grid_reference(keys, n, d):
+    """The enumerating verdict: the keys are the set [n]^d."""
+    return set(keys) == set(gamma_indices(n, d))
+
+
+def test_grid_check_counts_with_the_enumerating_verdict():
+    from orthosum.freegroup import check_grid
+
+    cases = []
+    for n in range(-1, 4):
+        for d in range(3):
+            grid = gamma_indices(max(n, 0), d)
+            for keys in (
+                grid,
+                grid[:-1],
+                grid + [(n + 1,) * d],
+                [(1.0,) * d] + grid[1:],
+                [(True,) * d] + grid[1:],
+                [(np.int64(1),) * d] + grid[1:],
+                [(1.5,) * d] + grid[1:],
+                [(1,) * (d + 1)],
+                ["1"],
+            ):
+                cases.append((dict.fromkeys(keys), n, d))
+    for keys, n, d in cases:
+        try:
+            check_grid(keys, n, d)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _grid_reference(keys, n, d), (list(keys), n, d)
+
+
+def test_word_family_grid_check_never_enumerates_the_grid():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="total map"):
+            WordFamily(1500, 2, {(1, 1): Word(), (1500, 1500): Word()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -498,3 +498,88 @@ def test_make_family_charges_members_before_building(monkeypatch):
     with pytest.raises(SizeLimitError, match="family members needs 16"):
         make_family(spec, budget=10)
     assert built == []
+
+
+def test_word_families_are_built_from_codes_alone(monkeypatch):
+    """Package code that builds elements makes no WordTuple and calls neither build nor monomial."""
+    from orthosum.algebra import GroupAlgebraElement
+    from orthosum.factorization import xi_family
+    from orthosum.freegroup import WordTuple, canonical_dissociate, is_p_dissociate
+
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(WordTuple, "__init__", spy("WordTuple", WordTuple.__init__))
+    for name in ("build", "monomial"):
+        original = getattr(GroupAlgebraElement, name).__func__
+        monkeypatch.setattr(GroupAlgebraElement, name, classmethod(spy(name, original)))
+
+    free = make_family(FamilySpec("free_generators", n=3, d=2, p=4, dim=2))
+    dissociate = make_family(FamilySpec("dissociate", n=3, d=1, p=4, dim=2, seed=3))
+    assert is_p_dissociate(canonical_dissociate(2, 2), 4).ok
+    telescope = [xi(2) for xi in xi_family(3, 2)]
+    unis = random_unitaries(make_rng(4), 2, 2)
+    coeffs = {Word(((1, 1),)): np.eye(2), Word(((2, -1), (1, 1))): 2 * np.eye(2)}
+    absorbed = absorption_check(coeffs, unis, 4)
+    report = dissociate_equivalence_report(random_coeffs(2, 2, 2, seed=5), 2, 2, 4)
+    assert calls == []
+    # the letter g_i is coded 2i + 1 and its inverse 2i
+    assert free.values[(1, 2)].keys == (((3,), (5,)),)
+    assert dissociate.values[(2,)].keys == (((5,),),)
+    assert [x.keys for x in telescope] == [(((4,), ()),), (((5,), (4,)),), (((), (5,)),)]
+    assert absorbed.abs_err <= 1e-9 * absorbed.rhs and report.lhs > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("rademacher", n=10, d=1, p=2),
+        FamilySpec("martingale_rademacher", n=9, d=1, p=2, dim=2),
+        FamilySpec("random_matrix", n=2, d=1, p=2, dim=3),
+        FamilySpec("free_generators", n=1, d=1, p=2, dim=4),
+        FamilySpec("random_matrix", n=1, d=1000, p=2),
+    ],
+)
+def test_make_family_charges_member_entries_before_building(monkeypatch, spec):
+    from orthosum import lab
+
+    built = []
+    monkeypatch.setattr(lab, "random_complex_matrix", lambda *a: built.append(a))
+    monkeypatch.setattr(lab, "product", lambda *a, **k: built.append(a))
+    with pytest.raises(SizeLimitError, match="sign table rows|member entries"):
+        make_family(spec, budget=10)
+    assert built == []
+
+
+def test_member_entries_of_the_largest_benchmark_family_fit_exactly():
+    # martingale n=6, dim 2: 6 members of side 2 * 2^6, 6 * 128^2 = 98,304 entries
+    spec = FamilySpec("martingale_rademacher", n=6, d=1, p=4, dim=2, seed=1)
+    assert len(make_family(spec, budget=98_304).values) == 6
+    with pytest.raises(SizeLimitError, match="member entries needs 98304 items"):
+        make_family(spec, budget=98_303)
+
+
+def test_refused_huge_shapes_name_their_shape_without_forming_it():
+    spec = FamilySpec("random_matrix", n=10, d=100_000, p=2)
+    with pytest.raises(SizeLimitError, match=r"family members needs 10\^100000 items"):
+        make_family(spec)
+    spec = FamilySpec("rademacher", n=1, d=10**12, p=2)
+    with pytest.raises(SizeLimitError, match=r"sign table rows needs 2\^1000000000000 "):
+        make_family(spec)
+
+
+def test_absorption_and_equivalence_reject_uneven_coefficients_and_unmapped_words():
+    unis = random_unitaries(make_rng(1), 2, 2)
+    uneven = {Word(((1, 1),)): np.eye(2), Word(((2, 1),)): np.eye(3)}
+    with pytest.raises(ValueError, match="same shape"):
+        absorption_check(uneven, unis, 4)
+    with pytest.raises(ValueError, match="no unitary image"):
+        absorption_check({Word(((3, 1),)): np.eye(2)}, unis, 4)
+    with pytest.raises(ValueError, match="same shape"):
+        dissociate_equivalence_report({(1,): np.eye(2), (2,): np.eye(3)}, 2, 1, 4)

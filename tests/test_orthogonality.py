@@ -573,3 +573,18 @@ def test_overflowed_moment_raises_instead_of_passing():
         is_p_orthogonal(fam, 4, 1.0)
     with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(1,\), \(1,\), \(1,\)\)"):
         MomentTable(fam, 4)
+
+
+def test_a_moment_table_of_another_family_p_or_adjoint_pattern_is_refused():
+    f1, f2 = (
+        make_family(FamilySpec("random_matrix", n=2, d=1, p=4, dim=2, seed=s)) for s in (1, 2)
+    )
+    sig = [SetPartition.from_blocks([[1, 2], [3, 4]])]
+    assert psi(f2, sig, 4).real == pytest.approx(104.06, abs=0.01)
+    assert psi(f1, sig, 4).real == pytest.approx(62.77, abs=0.01)
+    assert psi(f2, sig, 4, table=MomentTable(f2, 4)) == psi(f2, sig, 4)
+    for table in (MomentTable(f1, 4), MomentTable(f2, 6), MomentTable(f2, 4, adjoint_first=False)):
+        with pytest.raises(ValueError, match="moment table"):
+            psi(f2, sig, 4, table=table)
+        with pytest.raises(ValueError, match="moment table"):
+            phi(f2, sig, 4, table=table)

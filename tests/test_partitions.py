@@ -272,3 +272,48 @@ def test_bell_size_limit():
 def test_refinement_count_matches_refinements(m):
     for sigma in all_partitions(m):
         assert refinement_count(sigma) == len(refinements(sigma))
+
+
+def _partition_reference(ground_size, blocks):
+    """The enumerating verdict: the elements, sorted, are exactly 1..m."""
+    elements = sorted(e for block in blocks for e in block)
+    return all(blocks) and elements == list(range(1, ground_size + 1))
+
+
+@pytest.mark.parametrize(
+    "ground_size, blocks",
+    [
+        (3, ((1, 2), (3,))),
+        (3, ((1,), (3,))),
+        (2, ((1, 1),)),
+        (2, ((1,), (1,))),
+        (2, ((1.0,), (2,))),
+        (2, ((True,), (2,))),
+        (2, ((1.5,), (2,))),
+        (2, ((1,), (3,))),
+        (0, ()),
+        (-3, ()),
+        (1, ((),)),
+    ],
+)
+def test_partition_check_counts_with_the_enumerating_verdict(ground_size, blocks):
+    try:
+        SetPartition(ground_size, blocks)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _partition_reference(ground_size, blocks)
+
+
+@pytest.mark.parametrize("text", ["1|3000000", "m=3000000:1,2"])
+def test_partition_check_never_enumerates_its_ground_set(text):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="do not partition"):
+            parse_partition(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
