@@ -566,6 +566,8 @@ def _is_number_pair(entry) -> bool:
 def matrix_from_json(obj: Mapping) -> np.ndarray:
     obj = json_object(obj, ("dim", "entries"), "a matrix")
     dim, entries = json_int(obj["dim"], "dim"), obj["entries"]
+    if dim < 1:
+        raise ValueError(f"a matrix needs dim >= 1, got {dim}")
     if not (isinstance(entries, list) and len(entries) == dim * dim):
         raise ValueError(f"expected a list of {dim * dim} entries, got {entries!r:.60}")
     if not all(map(_is_number_pair, entries)):

@@ -59,12 +59,15 @@ def check_budget(count: int, budget: int, what: str, exp: int = 1) -> None:
     """Raise SizeLimitError when an enumeration of ``count ** exp`` items exceeds ``budget``.
 
     A power with more than about twice the bits of ``budget`` is never formed:
-    it is refused from ``exp * floor(log2 count)`` and named by its shape.
+    it is refused from ``exp * floor(log2 count)`` and named by its shape.  A
+    refused total of more than 1024 bits, too long to read (past 4300 digits,
+    to print), is named by its bit length.
     """
     if exp > 1 and count > 1 and exp * (count.bit_length() - 1) > budget.bit_length():
         need = f"{count}^{exp}"
     elif (total := count**exp) > budget:
-        need = str(total)
+        bits = total.bit_length()
+        need = str(total) if bits <= 1024 else f"2^{bits - 1} or more"
     else:
         return
     raise SizeLimitError(f"{what} needs {need} items, exceeding the budget of {budget}")

@@ -282,10 +282,12 @@ def _quantities(
     """The quantities and the sandwich verdicts C <= B and B <= 2^d C at ``tol``."""
     A = float(family_sum_norm(f, p, budget))
     B, C, converse_ok, upper_ok = _iteration_sandwich(f, p, budget, tol)
-    sup = max(
-        math.factorial(p - r) ** ((f.d - 1) / (p - r)) for r in range(0, p - 1)
-    )
-    D = float(sup * p ** (f.d * (f.d - 1) // 2) * C)
+    # (m!)^(1/m) grows with m: the sup over r is at r = 0, and 1.0 with no float p! if d = 1
+    try:
+        sup = math.factorial(p) ** ((f.d - 1) / p) if f.d > 1 else 1.0
+        D = float(sup * p ** (f.d * (f.d - 1) // 2) * C)
+    except OverflowError:
+        raise ValueError(f"D is not finite at p = {p}, d = {f.d}") from None
     return Quantities(A=A, B=B, C=C, D=D, p=p, n=f.n, d=f.d), converse_ok, upper_ok
 
 

@@ -19,15 +19,17 @@ builds the unit monomials it hands to ``is_p_orthogonal``).
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
 ``MomentTable`` reads them from a cached table of integer labels and an
 injective mask, and adds the moments in the lexicographic order of h.  The
-Mobius weight of each kernel partition is cached once computed.
+refinements the Mobius weights enumerate are counted there too, and charged on
+every call; a second cache holds the Mobius weight product of each label.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -42,6 +44,7 @@ from .algebra import (
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 from .freegroup import gamma_indices
 from .partitions import (
+    MAX_ENUMERATION_SIZE,
     SetPartition,
     kernel_code,
     kernel_partition,
@@ -195,12 +198,14 @@ def _prefix_walk(
 @lru_cache(maxsize=4)
 def _kernel_labels(
     n: int, d: int, p: int
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[SetPartition, ...], ...]]:
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[SetPartition, ...], ...], int]:
     """Kernel labels of every h: [p] -> [n]^d, in lexicographic order.
 
     Returns the label of each h (int32; labels number the distinct kernel
-    tuples by first appearance), whether h has an injective projection, and
-    the kernel tuple of each label.  The caller checks p and the budget.
+    tuples by first appearance), whether h has an injective projection, the
+    kernel tuple of each label and the refinements below its distinct parts
+    (0 past the enumeration ceiling, where the first weight, of {{1..p}}, is
+    refused at once).  The caller checks p and the budget.
     """
     count = n ** (d * p)
     ids: dict[tuple[tuple[int, ...], ...], int] = {}
@@ -216,7 +221,8 @@ def _kernel_labels(
     labels.flags.writeable = injective.flags.writeable = False
     # an RGS is its own kernel code, so each distinct code is built once
     parts = {c: kernel_partition(c) for c in {c for codes in ids for c in codes}}
-    return labels, injective, tuple(tuple(parts[c] for c in codes) for codes in ids)
+    charge = sum(map(refinement_count, parts.values())) if p <= MAX_ENUMERATION_SIZE else 0
+    return labels, injective, tuple(tuple(parts[c] for c in codes) for codes in ids), charge
 
 
 def _running_sum(start: complex, values: np.ndarray) -> complex:
@@ -251,7 +257,7 @@ class MomentTable:
         self.p = p
         self.adjoint_first = adjoint_first
 
-        labels, injective, kernels = _kernel_labels(f.n, f.d, p)
+        labels, injective, kernels, _ = _kernel_labels(f.n, f.d, p)
         total = injective_sum = 0j
         phi = np.zeros(len(kernels), dtype=complex)
         lo = 0
@@ -309,11 +315,19 @@ def psi(
     )
 
 
-@lru_cache(maxsize=1 << 12)
 def _mobius_weight(part: SetPartition) -> int:
-    """Sum of mu(0., sigma) over 0. < sigma <= part, computed once per partition."""
+    """Sum of mu(0., sigma) over 0. < sigma <= part."""
     zero = SetPartition.singletons(part.ground_size)
     return sum(mobius(zero, sigma) for sigma in refinements(part) if sigma != zero)
+
+
+@lru_cache(maxsize=4)
+def _label_weights(n: int, d: int, p: int) -> tuple[int, ...]:
+    """The Mobius weight product of each kernel label, each distinct part weighed once."""
+    kernels = _kernel_labels(n, d, p)[2]
+    # in first appearance: {{1..p}}, of the constant h, first
+    weight = {part: _mobius_weight(part) for part in dict.fromkeys(chain(*kernels))}
+    return tuple(math.prod(map(weight.__getitem__, eta)) for eta in kernels)
 
 
 def mobius_decomposition_check(
@@ -331,12 +345,10 @@ def mobius_decomposition_check(
     """
     table = MomentTable(f, p, budget, adjoint_first)
     lhs = table.total
-    parts = {part for eta in table.phi_map for part in eta}
-    check_budget(sum(map(refinement_count, parts)), budget, "Mobius weight enumeration")
-    noninjective = sum(
-        (math.prod(map(_mobius_weight, eta)) * val for eta, val in table.phi_map.items()),
-        0j,
-    )
+    # charged on every call, before the weights are read, cached or not
+    check_budget(_kernel_labels(f.n, f.d, p)[3], budget, "Mobius weight enumeration")
+    weights = _label_weights(f.n, f.d, p)
+    noninjective = sum(map(operator.mul, weights, table.phi_map.values()), 0j)
     rhs = table.injective_sum + (-1) ** f.d * noninjective
     return DecompositionReport(
         lhs=lhs,

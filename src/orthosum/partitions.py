@@ -52,6 +52,11 @@ class SetPartition:
         # disjoint blocks sort by least element
         if sorted(map(sorted, self.blocks)) != list(map(list, self.blocks)):
             raise ValueError(f"blocks {self.blocks} are not in canonical order")
+        # the hash the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash((self.ground_size, self.blocks)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_blocks(

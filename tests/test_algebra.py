@@ -408,6 +408,12 @@ def test_matrix_json_roundtrip():
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_matrix_json_refuses_a_dim_below_one_by_name(dim):
+    with pytest.raises(ValueError, match=rf"dim >= 1, got {dim}"):
+        matrix_from_json({"dim": dim, "entries": [[1.0, 0.0]]})
+
+
 def test_ga_and_family_json_roundtrip():
     r = rng(14)
     x = ga_monomial(1, 2, [Word(((1, 1),))], rand_matrix(r, 2)) + ga_monomial(

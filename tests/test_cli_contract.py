@@ -233,6 +233,16 @@ PLAIN_FILES = {
 # found by the generator: a negative exponent reached the budget guard
 @example((["dissociate", "--family", "canonical:0,-1", "--p", "-2", "--budget", "10000"],
           {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 1, 2)}))
+# D at p = 172 (once an OverflowError traceback), a count past 4300 digits and a
+# negative matrix dim (once Python's and numpy's messages)
+@example((["inequality", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "spec.json": {"kind": "rademacher", "n": 1, "d": 1, "p": 172}}))
+@example((["ortho", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "spec.json": random_matrix_spec(1, 1, 2, dim=10**3000)}))
+@example((["ortho", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "family.json": {"n": 1, "d": 1, "values": {
+              "1": {"dim": -1, "entries": [[1.0, 0.0]]}}},
+           "spec.json": {"kind": "file", "path": "family.json", "p": 2}}))
 # valid random_matrix reports against the oracle
 @example((["inequality", "--spec", "spec.json", "--budget", "3000"],
           {**PLAIN_FILES, "spec.json": random_matrix_spec(2, 2, 4)}))

@@ -23,3 +23,12 @@ def test_budget_guard_refuses_a_huge_power_by_its_shape(count, exp):
     with pytest.raises(SizeLimitError, match=rf"cells needs {count}\^{exp} items"):
         check_budget(count, 10**7, "cells", exp)
     assert time.perf_counter() - start < 0.1
+
+
+def test_budget_guard_names_a_count_too_long_to_print_by_its_bit_length():
+    with pytest.raises(SizeLimitError, match=r"cells needs 2\^9965 or more items"):
+        check_budget(10**3000, 10**7, "cells")
+    with pytest.raises(SizeLimitError, match=rf"cells needs {2**1024 - 1} items"):
+        check_budget(2**1024 - 1, 10**7, "cells")
+    with pytest.raises(SizeLimitError, match=r"cells needs 2\^1024 or more items"):
+        check_budget(2**1024, 10**7, "cells")

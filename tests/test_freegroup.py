@@ -214,7 +214,7 @@ def test_gamma_indices_are_lexicographic():
 def test_index_functions_carry_the_kernel_code_of_each_column(n, d, p, pick):
     i = pick % n ** (d * p)
     h = list(product(gamma_indices(n, d), repeat=p))[i]
-    labels, injective, kernels = _kernel_labels(n, d, p)
+    labels, injective, kernels, _ = _kernel_labels(n, d, p)
     kernel = kernels[labels[i]]
     assert kernel == tuple(sigma_of(h, k + 1) for k in range(d))
     codes = tuple(sigma.rgs for sigma in kernel)

@@ -153,6 +153,26 @@ def test_quantities_single_index_d_reduces_D_to_C():
     assert q.D == pytest.approx(q.C)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_the_supremum_in_D_is_its_r0_term(d):
+    for p in range(2, 171, 2):
+        sup = max(math.factorial(p - r) ** ((d - 1) / (p - r)) for r in range(p - 1))
+        assert sup == math.factorial(p) ** ((d - 1) / p), p
+
+
+def test_D_keeps_its_bits_and_refuses_to_overflow():
+    fam = make_family(FamilySpec("random_matrix", n=2, d=2, p=4, dim=2, seed=3))
+    q = compute_quantities(fam, 4)
+    sup = max(math.factorial(4 - r) ** (1 / (4 - r)) for r in range(3))
+    assert q.D == float(sup * 4 * q.C)
+    # d = 1 never makes p! a float; d = 2 would need (172!)^(1/172) of a float 172!
+    q = compute_quantities(make_family(FamilySpec("rademacher", n=1, d=1, p=172)), 172)
+    assert q.D == q.C
+    fam = make_family(FamilySpec("random_matrix", n=1, d=2, p=172, dim=1))
+    with pytest.raises(ValueError, match="D is not finite at p = 172, d = 2"):
+        compute_quantities(fam, 172)
+
+
 def test_main_inequality_single_term_family():
     r = make_rng(4)
     a = random_complex_matrix(r, 2)

@@ -1,5 +1,6 @@
 """Moments, kernel partitions, and the decomposition identity, with brute-force sums."""
 
+import math
 from itertools import product
 from pathlib import Path
 
@@ -433,7 +434,7 @@ def test_families_of_one_shape_share_labels_but_not_results():
         assert abs(table.total - total) <= 1e-12 * abs(total)
         assert abs(table.injective_sum - injective) <= 1e-12 * abs(injective)
         assert table.phi_map.keys() == by_kernel.keys()
-    labels, injective, _ = _kernel_labels(2, 2, 4)
+    labels, injective, *_ = _kernel_labels(2, 2, 4)
     assert labels.dtype == np.int32 and injective.dtype == np.bool_
     with pytest.raises(ValueError):
         labels[0] = 1
@@ -455,6 +456,42 @@ def test_cached_mobius_weights_are_still_charged_to_the_budget():
     mobius_decomposition_check(fam, 6)  # every weight of this shape is cached now
     with pytest.raises(SizeLimitError, match="Mobius weight"):
         mobius_decomposition_check(fam, 6, budget=100)
+
+
+@pytest.mark.parametrize("n, d, p", [(1, 1, 6), (2, 1, 6), (3, 1, 6), (2, 2, 4), (3, 2, 2)])
+def test_label_weights_and_charge_are_those_of_each_kernel_tuple(n, d, p):
+    from orthosum.orthogonality import _kernel_labels, _label_weights, _mobius_weight
+    from orthosum.partitions import refinement_count
+
+    _, _, kernels, charge = _kernel_labels(n, d, p)
+    weights = _label_weights(n, d, p)
+    assert len(weights) == len(kernels)
+    for eta, weight in zip(kernels, weights):
+        assert weight == math.prod(map(_mobius_weight, eta)), eta
+    assert charge == sum(map(refinement_count, {part for eta in kernels for part in eta}))
+
+
+def test_a_cold_weight_cache_is_charged_before_any_weight_is_computed(monkeypatch):
+    from orthosum import orthogonality
+
+    calls = []
+    weight = orthogonality._mobius_weight
+    monkeypatch.setattr(orthogonality, "_mobius_weight", lambda part: calls.append(part) or weight(part))
+    orthogonality._label_weights.cache_clear()
+    fam = random_family(1, 1, 1, seed=56)
+    # one index function, but Bell(6) = 203 refinements below {{1..6}}
+    with pytest.raises(SizeLimitError, match="Mobius weight enumeration needs 203 items"):
+        mobius_decomposition_check(fam, 6, budget=100)
+    assert calls == []
+    mobius_decomposition_check(fam, 6, budget=203)
+    assert calls == [SetPartition.one_block(6)]
+
+
+def test_past_the_enumeration_ceiling_a_table_builds_and_the_mobius_check_refuses():
+    fam = random_family(1, 1, 1, seed=57)
+    assert MomentTable(fam, 14).count == 1
+    with pytest.raises(SizeLimitError, match="supports 1 <= m <= 12, got 14"):
+        mobius_decomposition_check(fam, 14, budget=10**12)
 
 
 def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):

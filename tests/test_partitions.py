@@ -1,6 +1,8 @@
 """Partition lattice: enumeration against brute force, Mobius against its oracle."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -317,3 +319,12 @@ def test_partition_check_never_enumerates_its_ground_set(text):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_hash_is_the_field_tuple_hash_and_survives_copy_and_pickle():
+    for sigma in all_partitions(4):
+        assert hash(sigma) == hash((sigma.ground_size, sigma.blocks))
+        for twin in (copy.copy(sigma), copy.deepcopy(sigma), pickle.loads(pickle.dumps(sigma))):
+            assert twin == sigma and hash(twin) == hash(sigma)
+            assert {twin: 1}[sigma] == 1
+    assert repr(SetPartition(2, ((1, 2),))) == "SetPartition(ground_size=2, blocks=((1, 2),))"
