@@ -23,6 +23,11 @@ from +0.0 in sorted word order, of A_w B_(w^-1).  Rectangular elements
 (group-algebra flattenings) keep x* x even when wide: their bits are pinned
 to the object-product oracle in the tests.  Results are reproducible run to
 run.
+
+A family holds its ``members`` once, in the lexicographic order of [n]^d (a
+matrix family as one read-only stack, viewed by ``values`` in the caller's key
+order); a flattening along (alpha, beta) is one axis permutation of the member
+tensor, ``(n,) * d + (r, c)`` taken in the order (alpha, r, beta, c) and merged.
 """
 
 from __future__ import annotations
@@ -375,6 +380,7 @@ def _gram_power_identity_coeff(
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
+    check_budget(p // 2, budget, "even-norm products")
     gram = ga_multiply(ga_adjoint(x), x)
     k = p // 2
     if k == 1:
@@ -435,7 +441,7 @@ def word_sum(n: int, words: Sequence[Word], coeffs) -> GroupAlgebraElement:
 
 @dataclass
 class OperatorFamily:
-    """A [n]^d-indexed family, either of tracial matrices or of group-algebra elements."""
+    """A [n]^d-indexed family of tracial matrices or group-algebra elements, and its ``members``."""
 
     n: int
     d: int
@@ -446,15 +452,20 @@ class OperatorFamily:
         if self.kind not in (MATRIX, GROUP_ALGEBRA):
             raise ValueError(f"unknown kind {self.kind!r}")
         check_grid(self.values, self.n, self.d)
+        members = [self.values[g] for g in self.gammas()]
         if self.kind == MATRIX:
-            dims = {as_tracial_matrix(v).shape for v in self.values.values()}
+            dims = {as_tracial_matrix(v).shape for v in members}
             if len(dims) != 1:
-                raise ValueError(f"non-uniform matrix dimensions: {dims}")
-            self.values = {g: as_tracial_matrix(v) for g, v in self.values.items()}
+                raise ValueError(f"matrix members must have the same shape: {dims}")
+            self.members = np.array(members, dtype=complex)
+            self.members.setflags(write=False)
+            view = dict(zip(self.gammas(), self.members))
+            self.values = {g: view[g] for g in self.values}
         else:
-            keys = {(v.arity, v.n, v.coeff_shape) for v in self.values.values()}
+            keys = {(v.arity, v.n, v.coeff_shape) for v in members}
             if len(keys) != 1:
                 raise ValueError(f"non-uniform group-algebra parameters: {keys}")
+            self.members = tuple(members)
         for g, v in self.values.items():
             if not np.isfinite(v if self.kind == MATRIX else v.coeffs).all():
                 raise ValueError(f"non-finite coefficient at index {g}")
@@ -464,12 +475,11 @@ class OperatorFamily:
 
     @property
     def coeff_dim(self) -> int:
-        probe = next(iter(self.values.values()))
-        return probe.shape[0] if self.kind == MATRIX else probe.coeff_dim
+        return self.members.shape[1] if self.kind == MATRIX else self.members[0].coeff_dim
 
     def sum_value(self):
         """Sum of the family members (matrix or group-algebra element)."""
-        return functools.reduce(operator.add, (self.values[g] for g in self.gammas()))
+        return functools.reduce(operator.add, self.members)
 
 
 def _even_norm(v, p: int, budget: int) -> float:
@@ -495,35 +505,27 @@ def family_scale(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> flo
     return scale
 
 
-def _flatten_blocks(f: OperatorFamily, split: SplitPair):
-    """Shape of the flattening along ``split`` and gamma -> its block's slices.
+def _flattened(f: OperatorFamily, split: SplitPair, members: np.ndarray) -> np.ndarray:
+    """Flattening of the ``(..., n^d, r, c)`` member tensor along ``split``, leading axes kept.
 
-    The block of gamma sits at row block pi_alpha(gamma) and column block
-    pi_beta(gamma), the lexicographic positions of its sub-indices.
+    Member gamma lands at block (pi_alpha(gamma), pi_beta(gamma)), the
+    lexicographic positions of its sub-indices.
     """
     if split.d != f.d:
         raise ValueError(f"split of 1..{split.d} against a {f.d}-indexed family")
-    n, dim = f.n, f.coeff_dim
-
-    def span(gamma: tuple[int, ...], coords: tuple[int, ...]) -> slice:
-        idx = 0
-        for k in coords:
-            idx = idx * n + (gamma[k - 1] - 1)
-        return slice(idx * dim, (idx + 1) * dim)
-
-    shape = (n ** len(split.alpha) * dim, n ** len(split.beta) * dim)
-    return shape, {g: (span(g, split.alpha), span(g, split.beta)) for g in f.gammas()}
+    lead, (r, c) = members.shape[:-3], members.shape[-2:]
+    grid = members.reshape(lead + (f.n,) * f.d + (r, c))
+    # coordinate k is axis k - d - 3 from the end, r is axis -2 and c axis -1
+    order = [k - f.d - 3 for k in split.alpha] + [-2] + [k - f.d - 3 for k in split.beta] + [-1]
+    shape = (f.n ** len(split.alpha) * r, f.n ** len(split.beta) * c)
+    return np.moveaxis(grid, order, range(-f.d - 2, 0)).copy().reshape(lead + shape)
 
 
 def flatten(f: OperatorFamily, split: SplitPair) -> Flattening:
     """Block matrix of a matrix-valued family along a coordinate split."""
     if f.kind != MATRIX:
         raise KindError("flatten expects a matrix-valued family")
-    shape, blocks = _flatten_blocks(f, split)
-    out = np.zeros(shape, dtype=complex)
-    for gamma, block in blocks.items():
-        out[block] = f.values[gamma]
-    return Flattening(matrix=out, coeff_dim=f.coeff_dim, split=split)
+    return Flattening(matrix=_flattened(f, split, f.members), coeff_dim=f.coeff_dim, split=split)
 
 
 def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
@@ -535,15 +537,14 @@ def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
     """
     if f.kind != GROUP_ALGEBRA:
         raise KindError("ga_flatten expects a group-algebra-valued family")
-    shape, blocks = _flatten_blocks(f, split)
-    keys = sorted({key for v in f.values.values() for key in v.keys})
+    keys = sorted({key for v in f.members for key in v.keys})
     row = {key: i for i, key in enumerate(keys)}
-    stack = np.zeros((len(row),) + shape, dtype=complex)
-    for gamma, (rows, cols) in blocks.items():
-        v = f.values[gamma]
-        stack[[row[key] for key in v.keys], rows, cols] += v.coeffs
-    probe = next(iter(f.values.values()))
-    return GroupAlgebraElement.from_codes(probe.arity, probe.n, shape, keys, stack)
+    probe = f.members[0]
+    dense = np.zeros((len(row), len(f.members)) + probe.coeff_shape, dtype=complex)
+    for j, v in enumerate(f.members):
+        dense[[row[key] for key in v.keys], j] += v.coeffs
+    stack = _flattened(f, split, dense)
+    return GroupAlgebraElement.from_codes(probe.arity, probe.n, stack.shape[1:], keys, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +613,8 @@ def ga_from_json(obj: Mapping) -> GroupAlgebraElement:
 
 
 def family_to_json(f: OperatorFamily) -> dict:
-    values = {}
-    for gamma in f.gammas():
-        key = ",".join(str(i) for i in gamma)
-        v = f.values[gamma]
-        values[key] = matrix_to_json(v) if f.kind == MATRIX else ga_to_json(v)
+    to_json = matrix_to_json if f.kind == MATRIX else ga_to_json
+    values = {",".join(map(str, g)): to_json(v) for g, v in zip(f.gammas(), f.members)}
     return {"n": f.n, "d": f.d, "values": values}
 
 

@@ -321,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         if k not in ("command", "format", "out") and v is not None
     }
     try:
-        results, assertions, seed = _HANDLERS[args.command](args)
+        with np.errstate(all="ignore"):  # every non-finite result is refused by name
+            results, assertions, seed = _HANDLERS[args.command](args)
         report = {
             "command": args.command,
             "params": _jsonable(params),

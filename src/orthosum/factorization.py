@@ -166,14 +166,11 @@ def _build_factors(
             raise ValueError("every partition must exceed the all-singleton one")
     check_budget(p * f.n**f.d, budget, "factor term construction")
     total, offsets = _slot_layout(anatomy)
-    dim = f.coeff_dim
-    gammas = f.gammas()
-    values = np.array([f.values[gamma] for gamma in gammas])
-    adjoints = values.conj().transpose(0, 2, 1)
+    adjoints = f.members.conj().transpose(0, 2, 1)
     factors = []
     for s in range(1, p + 1):
         keys = []
-        for gamma in gammas:
+        for gamma in f.gammas():
             words: list[tuple[int, ...]] = [()] * total
             for k in range(f.d):
                 j = anatomy.block_index[k][s - 1]
@@ -182,8 +179,8 @@ def _build_factors(
                     r = anatomy.block_rank[k][s - 1]
                     _place_telescope(words, offsets[(k, j)], r, block_size, gamma[k])
             keys.append(tuple(words))
-        stack = adjoints if s % 2 else values
-        factors.append(GroupAlgebraElement.from_codes(total, f.n, (dim, dim), keys, stack))
+        stack = adjoints if s % 2 else f.members
+        factors.append(GroupAlgebraElement.from_codes(total, f.n, stack.shape[1:], keys, stack))
     return factors
 
 

@@ -240,17 +240,13 @@ class Quantities:
 
 def _lambda_tensor_element(f: OperatorFamily) -> GroupAlgebraElement:
     """The sum of generator tuples tensored with the family members."""
+    gens = [tuple((letter_code(i),) for i in gamma) for gamma in f.gammas()]
     if f.kind == MATRIX:
-        return generator_sum(f.values, f.n, f.d)
-    probe = next(iter(f.values.values()))
-    group_n = max(f.n, probe.n)
-    arity = f.d + probe.arity
-    keys = [
-        tuple((letter_code(i),) for i in gamma) + key
-        for gamma in f.gammas()
-        for key in f.values[gamma].keys
-    ]
-    stack = np.concatenate([f.values[gamma].coeffs for gamma in f.gammas()])
+        return GroupAlgebraElement.from_codes(f.d, f.n, f.members.shape[1:], gens, f.members)
+    probe = f.members[0]
+    keys = [gen + key for gen, v in zip(gens, f.members) for key in v.keys]
+    stack = np.concatenate([v.coeffs for v in f.members])
+    arity, group_n = f.d + probe.arity, max(f.n, probe.n)
     return GroupAlgebraElement.from_codes(arity, group_n, probe.coeff_shape, keys, stack)
 
 
@@ -263,8 +259,14 @@ def flattening_norm(
     return ga_vv_norm(ga_flatten(f, split), p, f.coeff_dim, budget)
 
 
+def _split_norms(f: OperatorFamily, p: int, budget: int) -> dict[SplitPair, float]:
+    """The flattening norm along each of the 2^d splits, charged before any is built."""
+    check_budget(2, budget, "flattening splits", f.d)
+    return {split: flattening_norm(f, split, p, budget) for split in all_splits(f.d)}
+
+
 def max_flattening_norm(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> float:
-    return max(flattening_norm(f, split, p, budget) for split in all_splits(f.d))
+    return max(_split_norms(f, p, budget).values())
 
 
 def _iteration_sandwich(
@@ -368,7 +370,7 @@ def khintchine_iteration_check(
     This is the B/C sandwich of :func:`compute_quantities` applied to the
     coefficient family, at tolerance 1e-9 * its scale.
     """
-    fam = OperatorFamily(n, d, MATRIX, {g: as_tracial_matrix(v) for g, v in a.items()})
+    fam = OperatorFamily(n, d, MATRIX, dict(a))
     tol = 1e-9 * family_scale(fam, p, budget)
     S_norm, C, lower_ok, upper_ok = _iteration_sandwich(fam, p, budget, tol)
     return KhintchineReport(
@@ -529,9 +531,8 @@ def dissociate_equivalence_report(
     """
     check_budget(n, budget, "family members", d)
     words = canonical_dissociate(n, d).words
-    coeffs = [as_tracial_matrix(a[g]) for g in words]
-    lhs = ga_even_norm(word_sum(n, list(words.values()), coeffs), p, budget)
     coeff_fam = OperatorFamily(n, d, MATRIX, {g: a[g] for g in words})
-    norms = {s: flattening_norm(coeff_fam, s, p, budget) for s in all_splits(d)}
+    lhs = ga_even_norm(word_sum(n, list(words.values()), coeff_fam.members), p, budget)
+    norms = _split_norms(coeff_fam, p, budget)
     rhs = max(v for s, v in norms.items() if s.alpha == tuple(range(1, len(s.alpha) + 1)))
     return DissociateEquivalenceReport(lhs=lhs, rhs=rhs, rhs_all_splits=max(norms.values()))

@@ -17,10 +17,12 @@ budget before it walks (``freegroup.is_p_dissociate`` does the same before it
 builds the unit monomials it hands to ``is_p_orthogonal``).
 ``alternating_moment`` walks a single h.  The kernel labels of h, the
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
-``MomentTable`` reads them from a cached table of integer labels and an
-injective mask, and adds the moments in the lexicographic order of h.  The
-refinements the Mobius weights enumerate are counted there too, and charged on
-every call; a second cache holds the Mobius weight product of each label.
+``MomentTable``, once it has also charged the p products of each h (its walk's
+steps, and the rows of the label pool), reads them from a cached table of
+integer labels and an injective mask, and adds the moments in lexicographic
+order of h.  The refinements the Mobius weights enumerate are counted there
+too, and charged on every call; a second cache holds the Mobius weight
+product of each label.
 """
 
 from __future__ import annotations
@@ -145,14 +147,13 @@ def _prefix_walk(
     gammas = f.gammas()
     k = len(gammas)
     if f.kind == MATRIX:
-        values = np.stack([f.values[g] for g in gammas])
+        values, dim = f.members, f.coeff_dim
         adj = values.conj().swapaxes(1, 2).copy()
-        dim = values.shape[1]
         entries = dim * dim
         mul = lambda acc, factor: (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
         trace = lambda acc: np.trace(acc, axis1=1, axis2=2) / dim
     else:
-        values = np.array([f.values[g] for g in gammas], dtype=object)
+        values = np.array(f.members, dtype=object)
         adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
         outer = np.frompyfunc(ga_multiply, 2, 1).outer
         # a run holds live objects: about 1 KiB (64 entries) each besides coefficients
@@ -253,6 +254,7 @@ class MomentTable:
         check_even_p(p)
         check_budget(f.n, budget, "index-function enumeration", f.d * p)
         self.count = f.n ** (f.d * p)
+        check_budget(self.count * p, budget, "index-function products")
         self.family = f
         self.p = p
         self.adjoint_first = adjoint_first

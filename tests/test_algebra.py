@@ -384,6 +384,81 @@ def test_ga_flatten_matches_column_norm_for_generators():
         ga_flatten(matrix_family(1, 1, {(1,): np.eye(1)}), SplitPair((1,), ()))
 
 
+def block_placement_oracle(members, n, split, shape):
+    """Member gamma's blocks placed one entry at a time at (pi_alpha(gamma), pi_beta(gamma))."""
+    r, c = shape
+    out = np.zeros((n ** len(split.alpha) * r, n ** len(split.beta) * c), dtype=complex)
+    for gamma, block in members.items():
+        row = col = 0
+        for k in split.alpha:
+            row = row * n + gamma[k - 1] - 1
+        for k in split.beta:
+            col = col * n + gamma[k - 1] - 1
+        for i in range(r):
+            for j in range(c):
+                out[row * r + i, col * c + j] = block[i, j]
+    return out
+
+
+SHAPES = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_flatten_places_every_member_block_on_every_split(n, d):
+    r = rng(10 * n + d)
+    vals = {g: rand_matrix(r, 2) for g in product(range(1, n + 1), repeat=d)}
+    fam = matrix_family(n, d, vals)
+    for split in all_splits(d):
+        want = block_placement_oracle(vals, n, split, (2, 2))
+        got = flatten(fam, split).matrix
+        assert got.shape == want.shape and np.array_equal(got, want), split
+        assert got.flags.writeable and not np.shares_memory(got, fam.members)
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_ga_flatten_places_every_word_coefficient_block_on_every_split(n, d):
+    r = rng(100 + 10 * n + d)
+    words = [Word(()), Word(((1, 1),)), Word(((2, -1), (1, 1)))]
+    vals = {}
+    for g in product(range(1, n + 1), repeat=d):
+        chosen = r.choice(len(words), size=r.integers(1, len(words) + 1), replace=False)
+        terms = {WordTuple((words[i],)): rand_matrix(r, 2) for i in sorted(chosen)}
+        vals[g] = GroupAlgebraElement.build(1, 2, (2, 2), terms)
+    fam = OperatorFamily(n, d, GROUP_ALGEBRA, vals)
+    used = sorted({wt for v in vals.values() for wt in v.terms}, key=lambda wt: wt.codes)
+    for split in all_splits(d):
+        flat = ga_flatten(fam, split)
+        assert list(flat.terms) == used
+        for wt in used:
+            blocks = {g: v.coefficient(wt) for g, v in vals.items()}
+            want = block_placement_oracle(blocks, n, split, (2, 2))
+            assert np.array_equal(flat.coefficient(wt), want), (split, wt)
+
+
+def test_members_follow_gamma_order_read_only_and_values_keep_the_key_order():
+    r = rng(77)
+    gammas = list(product((1, 2), repeat=2))
+    shuffled = [gammas[i] for i in (2, 0, 3, 1)]
+    vals = {g: rand_matrix(r, 2) for g in shuffled}
+    text = {"n": 2, "d": 2, "values": {
+        ",".join(map(str, g)): matrix_to_json(v) for g, v in vals.items()}}
+    fam = family_from_json(json.loads(json.dumps(text)))
+    assert list(fam.values) == shuffled
+    assert fam.members.shape == (4, 2, 2) and not fam.members.flags.writeable
+    for g, member in zip(fam.gammas(), fam.members):
+        assert np.array_equal(member, vals[g])
+        assert np.shares_memory(fam.values[g], fam.members)
+    with pytest.raises(ValueError):
+        fam.values[(1, 1)][0, 0] = 0.0
+    # the scale sums in the order of values, as the file gave it
+    want = 1.0 + sum(schatten_even_norm(vals[g], 4) ** 4 for g in shuffled)
+    assert family_scale(fam, 4) == want
+    elements = {g: lam(i) for g, i in zip(shuffled, (1, 2, 2, 1))}
+    gfam = OperatorFamily(2, 2, GROUP_ALGEBRA, elements)
+    assert list(gfam.values) == shuffled
+    assert gfam.members == tuple(elements[g] for g in gfam.gammas())
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         matrix_family(2, 1, {(1,): np.eye(2)})  # not total

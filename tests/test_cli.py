@@ -406,7 +406,9 @@ def test_partition_sweeps_are_budgeted(tmp_path, capsys, command, shape):
 
 
 def test_factorize_charges_the_factor_terms_to_the_budget(tmp_path, capsys):
-    # one index function fits a budget of 1, the p * n^d = 2 factor terms do not
+    # the p * n^d = 2 factor terms fit a budget of 2; at 1 the table's p products of its
+    # one index function, which bound them (p n^(dp) >= p n^d), are refused first, and
+    # test_factorization pins the factor-term charge behind a given table
     spec = spec_file(tmp_path, kind="random_matrix", n=1, d=1, p=2, dim=1, seed=3)
     sigmas = tmp_path / "sigmas.json"
     sigmas.write_text(json.dumps(["1,2"]))
@@ -416,7 +418,7 @@ def test_factorize_charges_the_factor_terms_to_the_budget(tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--budget", "1")
     assert code == 2
     assert out == ""
-    assert "size limit" in err and "factor term" in err
+    assert "size limit: index-function products needs 2 items" in err
 
 
 def test_iteration_sandwich_violation_is_an_assertion_failure(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,15 @@
 """Property test of the CLI contract on generated argv and input files.
 
 Every run goes through ``cli.main`` in-process under a small ``--budget``:
-the exit code is 0, 1 or 2; exit 2 prints nothing on stdout and no traceback;
-exit 0 and 1 print a strict-JSON report with the README schema; and a valid
-``random_matrix`` spec agrees with the numpy-only ``bench/oracle.py``.
+the exit code is 0, 1 or 2; exit 2 prints nothing on stdout and no traceback,
+and past argument parsing one stderr line; exit 0 and 1 print a strict-JSON
+report with the README schema and nothing on stderr; and a valid
+``random_matrix`` spec agrees with the numpy-only ``bench/oracle.py``.  A
+warning counts as stderr output, as it would outside a test run.
 
-Integer fields take extreme values too (2^63, 10^100, ...), which the budget
-and the counting validators refuse before anything of that size is built.  The
-order p stays small: a large p with n = 1 still runs unbudgeted work.
+Integer fields, the order p among them, take extreme values too (2^63,
+10^100, ...), which the budget and the counting validators refuse before
+anything of that size is built or any loop of that length runs.
 """
 
 import contextlib
@@ -15,8 +17,11 @@ import importlib.util
 import io
 import json
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -104,8 +109,7 @@ def spec(draw):
     }
     if out["kind"] == "file" or out["kind"] == "dissociate" and draw(st.booleans()):
         out["path"] = "family.json" if out["kind"] == "file" else "words.json"
-    bad = dict.fromkeys(["n", "d", "dim", "seed"], bad_value)
-    return mutated(draw, out, {**bad, "p": st.one_of(small_p, malformed)})
+    return mutated(draw, out, dict.fromkeys(["n", "d", "p", "dim", "seed"], bad_value))
 
 
 @st.composite
@@ -121,7 +125,7 @@ def invocation(draw):
     if command in FAMILY_COMMANDS:
         argv = [command, "--spec", "spec.json"]
         if command != "khintchine" and draw(st.integers(0, 2)) == 2:
-            argv += ["--p", str(draw(small_p))]
+            argv += ["--p", str(draw(small_p | extreme_int))]
         if command == "factorize" and draw(st.booleans()):
             argv += ["--sigmas", "sigmas.json"]
         if draw(st.integers(0, 3)) == 3:
@@ -152,12 +156,16 @@ def run_cli(argv, files):
             (root / name).write_text(json.dumps(content))
         argv = [str(root / a) if a.endswith(".json") else a for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    # outside a test run every warning would be printed to stderr
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, out.getvalue(), "".join(shown) + err.getvalue()
 
 
 def effective_matrix_spec(argv, files):
@@ -208,6 +216,51 @@ PLAIN_FILES = {
 }
 
 
+def spec_case(command, spec, budget):
+    return [command, "--spec", "spec.json", "--budget", str(budget)], {**PLAIN_FILES, "spec.json": spec}
+
+
+def one_member_spec(kind, p, **extra):
+    return {"kind": kind, "n": 1, "d": 1, "p": p, **extra}
+
+
+#: Runs that once ran work growing with d or p unbudgeted, raised MemoryError or
+#: printed numpy warnings, and the start of the one stderr line each now prints.
+REFUSED = [
+    # 2^18 flattenings
+    (spec_case("inequality", random_matrix_spec(1, 18, 2, dim=1), 100000),
+     "size limit: flattening splits needs 2^18 items"),
+    # about p/4 products of one-term elements
+    (spec_case("ortho", one_member_spec("free_generators", 2**40), 1000),
+     "size limit: even-norm products"),
+    (spec_case("inequality", one_member_spec("rademacher", 2**40), 1000),
+     "size limit: even-norm products"),
+    (spec_case("khintchine", one_member_spec("rademacher", 2**40), 1000),
+     "size limit: even-norm products"),
+    # a label pool of p rows and a walk of p steps
+    (spec_case("decompose", one_member_spec("rademacher", 2**40), 1000),
+     "size limit: index-function products"),
+    (spec_case("factorize", one_member_spec("rademacher", 2**40), 1000),
+     "size limit: index-function products"),
+    # overflowing products warned before the error named the scale
+    (spec_case("ortho", one_member_spec("dissociate", 4096, dim=2), 1000),
+     "size limit: even-norm products"),
+    (spec_case("ortho", one_member_spec("dissociate", 4096, dim=2), 10000),
+     "error: family scale is not finite"),
+    (spec_case("ortho", one_member_spec("random_matrix", 4096, dim=2), 1000),
+     "error: family scale is not finite"),
+]
+
+
+def pinned(cases):
+    """Pin each case as an explicit example of a Hypothesis test."""
+    def pin(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return pin
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(invocation())
 # the refusals that once enumerated or formed their whole input first
@@ -248,6 +301,8 @@ PLAIN_FILES = {
           {**PLAIN_FILES, "spec.json": random_matrix_spec(2, 2, 4)}))
 @example((["decompose", "--spec", "spec.json", "--p", "4", "--budget", "3000"],
           {**PLAIN_FILES, "spec.json": random_matrix_spec(3, 1, 2, seed=9)}))
+# extreme d and p: work that grew with them unbudgeted, or warnings before the error
+@pinned([case for case, _ in REFUSED])
 def test_cli_keeps_its_contract_on_generated_input(case):
     argv, files = case
     code, out, err = run_cli(argv, files)
@@ -255,7 +310,9 @@ def test_cli_keeps_its_contract_on_generated_input(case):
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
+        assert err.startswith("usage:") or err.count("\n") == 1, err
         return
+    assert err == ""
     report = json.loads(out, parse_constant=_reject_constant)
     assert set(report) == SCHEMA
     assert report["command"] == argv[0]
@@ -272,7 +329,8 @@ def valid_matrix_invocation(draw):
     n, d, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.sampled_from([2, 4]))
     spec = random_matrix_spec(n, d, p, dim=draw(st.integers(1, 2)), seed=draw(st.integers(0, 2**64 - 1)))
     command = draw(st.sampled_from(FAMILY_COMMANDS))
-    argv = [command, "--spec", "spec.json", "--budget", "10000"]
+    # the 3^8 index functions of n = 3, d = 2, p = 4 take p products each
+    argv = [command, "--spec", "spec.json", "--budget", "30000"]
     sigmas = ["1,2"] * d
     if command == "factorize":
         if p == 4:
@@ -289,3 +347,12 @@ def test_valid_random_matrix_reports_agree_with_the_oracle(case):
     code, out, err = run_cli(argv, files)
     assert code in (0, 1), err
     check_against_oracle(json.loads(out, parse_constant=_reject_constant), effective_matrix_spec(*case))
+
+
+@pytest.mark.parametrize("case, start", REFUSED)
+def test_extreme_shapes_are_refused_at_once_on_one_stderr_line(case, start):
+    began = time.perf_counter()
+    code, out, err = run_cli(*case)
+    assert time.perf_counter() - began < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(start) and err.count("\n") == 1, err

@@ -386,6 +386,25 @@ def test_dissociate_equivalence_takes_each_flattening_norm_once(monkeypatch):
     assert (rep.rhs, rep.rhs_all_splits) == (want_rhs, want_all)
 
 
+def test_a_refused_split_sweep_builds_no_split_and_no_flattening(monkeypatch):
+    from orthosum import lab
+
+    fam = make_family(FamilySpec("random_matrix", n=2, d=3, p=2, dim=1, seed=4))
+    assert lab.max_flattening_norm(fam, 2, budget=8) > 0.0
+    with pytest.raises(SizeLimitError, match="flattening splits needs 8 items"):
+        lab.max_flattening_norm(fam, 2, budget=7)
+    called = []
+    monkeypatch.setattr(lab, "all_splits", lambda *a: called.append("all_splits"))
+    monkeypatch.setattr(lab, "flattening_norm", lambda *a: called.append("flattening_norm"))
+    big = make_family(FamilySpec("random_matrix", n=1, d=18, p=2, dim=1))
+    with pytest.raises(SizeLimitError, match=r"flattening splits needs 2\^18 items"):
+        lab.max_flattening_norm(big, 2, budget=100000)
+    a = {g: np.eye(1) for g in gamma_indices(1, 18)}
+    with pytest.raises(SizeLimitError, match=r"flattening splits needs 2\^18 items"):
+        dissociate_equivalence_report(a, 1, 18, 2, budget=100000)
+    assert called == []
+
+
 def test_commutative_square_function_matches_flattening():
     # diagonal family: the row flattening norm equals the square-function norm
     fam = make_family(FamilySpec("rademacher", n=2, d=2, p=4, seed=62))
