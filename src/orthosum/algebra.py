@@ -16,13 +16,13 @@ its coefficient products by batched matmul and sums those of equal words in
 pair order, the terms of x outer and those of y inner, both in sorted word
 order; each sum runs from its first product, so it is bit for bit the running
 sum of term-by-term accumulation, signed zeros included.  Coefficients that
-cancel to exactly zero are pruned after every product.  Even-p norms read the
-identity coefficient of (x* x)^(p/2), exact up to float rounding, by pairing
-the half powers A = (x* x)^floor(p/4) and B = (x* x)^ceil(p/4) as the sum,
-from +0.0 in sorted word order, of A_w B_(w^-1).  Rectangular elements
-(group-algebra flattenings) keep x* x even when wide: their bits are pinned
-to the object-product oracle in the tests.  Results are reproducible run to
-run.
+cancel to exactly zero are pruned after every product.  The identity
+coefficient of x y is read without forming x y, by pairing: the sum, from -0.0
+in x's sorted word order, of X_w Y_(w^-1), the products x y merges there
+(``ga_product_trace``).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
+and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.
+Rectangular elements (group-algebra flattenings) keep x* x even when wide:
+their bits are pinned to the object-product oracle in the tests.
 
 A family holds its ``members`` once, in the lexicographic order of [n]^d (a
 matrix family as one read-only stack, viewed by ``values`` in the caller's key
@@ -319,6 +319,16 @@ def _sum_by_label(idx: np.ndarray, count: int, shape, batches) -> np.ndarray:
     return out
 
 
+def _chained_shape(x: GroupAlgebraElement, y: GroupAlgebraElement) -> tuple[int, int]:
+    """Coefficient shape of x y, or ValueError when x and y do not multiply."""
+    x._check_compatible(y)
+    if x.coeff_shape[1] != y.coeff_shape[0]:
+        raise ValueError(
+            f"coefficient shapes {x.coeff_shape} and {y.coeff_shape} do not chain"
+        )
+    return x.coeff_shape[0], y.coeff_shape[1]
+
+
 def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     """Convolution product: words multiply componentwise, coefficients by matmul.
 
@@ -326,13 +336,8 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
     entries (one batch unless coefficients are large), and equal words merge
     in pair order, the terms of x outer and those of y inner.
     """
-    x._check_compatible(y)
-    if x.coeff_shape[1] != y.coeff_shape[0]:
-        raise ValueError(
-            f"coefficient shapes {x.coeff_shape} and {y.coeff_shape} do not chain"
-        )
+    shape = _chained_shape(x, y)
     keys = [tuple(map(code_multiply, a, b)) for a in x.keys for b in y.keys]
-    shape = (x.coeff_shape[0], y.coeff_shape[1])
     step = max(1, _BATCH // max(1, len(y.keys) * shape[0] * shape[1]))
 
     def batch(i: int) -> np.ndarray:
@@ -354,19 +359,44 @@ def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
     )
 
 
-def _identity_coeff(x: GroupAlgebraElement) -> np.ndarray | None:
-    """The coefficient at the identity tuple, the least key when present."""
-    return x.coeffs[0] if x.keys and not any(x.keys[0]) else None
+def _paired_identity(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:
+    """Coefficient at the identity of x y, without forming x y.
+
+    It sums, from -0.0, X_w Y_(w^-1) over the words w of x in sorted order, as
+    ga_multiply merges them, unpruned; the shorter side's words are inverted.
+    """
+    acc = np.full(_chained_shape(x, y), complex(-0.0, -0.0))
+    flip = len(x.keys) < len(y.keys)  # bisect the shorter side's inverses in the other
+    short, long = (x.keys, y.keys) if flip else (y.keys, x.keys)
+    inverses = [tuple(map(code_inverse, key)) for key in short]
+    at = [bisect.bisect_left(long, key) for key in inverses]
+    found = [(i, j) for j, i in enumerate(at) if i < len(long) and long[i] == inverses[j]]
+    a, b = np.array(sorted(p[::-1] if flip else p for p in found), dtype=np.intp).reshape(-1, 2).T
+    step = max(1, _BATCH // acc.size)
+    for i in range(0, len(a), step):
+        prods = x.coeffs[a[i : i + step]] @ y.coeffs[b[i : i + step]]
+        prods[0] += acc  # acc + X_w Y_(w^-1), in one running sum
+        acc = np.add.accumulate(prods, axis=0)[-1]
+    return acc
+
+
+def _normalized_trace(coeff: np.ndarray | None) -> complex:
+    """Tr/N of an identity coefficient; 0j when it is absent or exactly zero."""
+    if coeff is None or not coeff.any():
+        return 0j
+    if coeff.shape[0] != coeff.shape[1]:
+        raise ValueError("trace of a rectangular element")
+    return complex(np.trace(coeff) / coeff.shape[0])
 
 
 def ga_trace(x: GroupAlgebraElement) -> complex:
-    """Normalized trace of the coefficient at the identity tuple (0 if absent)."""
-    coeff = _identity_coeff(x)
-    if coeff is None:
-        return 0j
-    if x.coeff_shape[0] != x.coeff_shape[1]:
-        raise ValueError("trace of a rectangular element")
-    return complex(np.trace(coeff) / x.coeff_shape[0])
+    """Normalized trace of the coefficient at the identity tuple, the least key (0 if absent)."""
+    return _normalized_trace(x.coeffs[0] if x.keys and not any(x.keys[0]) else None)
+
+
+def ga_product_trace(x: GroupAlgebraElement, y: GroupAlgebraElement) -> complex:
+    """``ga_trace(ga_multiply(x, y))``, read off the paired words of x and y."""
+    return _normalized_trace(_paired_identity(x, y))
 
 
 def _gram_power_identity_coeff(
@@ -375,32 +405,19 @@ def _gram_power_identity_coeff(
     """Coefficient at the identity of (x* x)^(p/2), by half-power pairing.
 
     With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), the
-    coefficient is the sum, from zero, of A_w B_(w^-1) over the words w of A
-    in sorted order; for k = 1 it is read off x* x directly.
+    coefficient is :func:`_paired_identity` of A and B; for k = 1 of x* and x.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
     check_budget(p // 2, budget, "even-norm products")
-    gram = ga_multiply(ga_adjoint(x), x)
     k = p // 2
     if k == 1:
-        coeff = _identity_coeff(gram)
-        return np.zeros(gram.coeff_shape, dtype=complex) if coeff is None else coeff
-    half = gram
+        return _paired_identity(ga_adjoint(x), x)
+    half = gram = ga_multiply(ga_adjoint(x), x)
     for _ in range(k // 2 - 1):
         half = ga_multiply(half, gram)
     other = ga_multiply(half, gram) if k % 2 else half
-    where = {key: j for j, key in enumerate(other.keys)}
-    inverses = [tuple(map(code_inverse, key)) for key in half.keys]
-    a = [i for i, inv in enumerate(inverses) if inv in where]
-    b = [where[inverses[i]] for i in a]
-    acc = np.zeros(gram.coeff_shape, dtype=complex)
-    step = max(1, _BATCH // acc.size)
-    for i in range(0, len(a), step):
-        prods = half.coeffs[a[i : i + step]] @ other.coeffs[b[i : i + step]]
-        prods[0] += acc  # acc + A_w B_(w^-1), in one running sum from zero
-        acc = np.add.accumulate(prods, axis=0)[-1]
-    return acc
+    return _paired_identity(half, other)
 
 
 def ga_even_norm(x: GroupAlgebraElement, p: int, budget: int = DEFAULT_BUDGET) -> float:
@@ -499,7 +516,10 @@ def family_scale(f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET) -> flo
 
     A scale that overflows raises ValueError: no tolerance is drawn from it.
     """
-    scale = 1.0 + sum(_even_norm(v, p, budget) ** p for v in f.values.values())
+    try:
+        scale = 1.0 + sum(_even_norm(v, p, budget) ** p for v in f.values.values())
+    except OverflowError:  # a finite norm whose float power overflows
+        scale = np.inf
     if not np.isfinite(scale):
         raise ValueError(f"family scale is not finite ({scale}) at p={p}")
     return scale

@@ -21,7 +21,7 @@ from .algebra import (
     OperatorFamily,
     ga_even_norm,
     ga_multiply,
-    ga_trace,
+    ga_product_trace,
     schatten_even_norm,
 )
 from .errors import DEFAULT_BUDGET, KindError, check_budget
@@ -195,9 +195,9 @@ def _factorization_report(
     psi_direct: complex, factors: Sequence[GroupAlgebraElement]
 ) -> FactorizationReport:
     acc = factors[0]
-    for factor in factors[1:]:
+    for factor in factors[1:-1]:
         acc = ga_multiply(acc, factor)
-    psi_factored = ga_trace(acc)
+    psi_factored = ga_product_trace(acc, factors[-1])
     return FactorizationReport(
         psi_direct=psi_direct,
         psi_factored=psi_factored,

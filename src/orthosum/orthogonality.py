@@ -8,21 +8,21 @@ coordinate, and the decomposition identity rewrites the full moment sum as the
 injective-projection part plus a signed Mobius combination of the dominated
 sums.
 
-This module owns index functions.  Every moment comes from one walk over
-the tree of h-prefixes, which forms each prefix product once and shares it
-with every h that extends it.  ``MomentTable`` walks every h and
-``is_p_orthogonal`` only the prefixes that still have an injective
-coordinate; each checks p and charges the n^(dp) index functions to the
-budget before it walks (``freegroup.is_p_dissociate`` does the same before it
-builds the unit monomials it hands to ``is_p_orthogonal``).
+This module owns index functions.  Every moment comes from one walk over the
+tree of h-prefixes, which forms each prefix product once and shares it with
+every h that extends it; the last product it only traces.  ``MomentTable``
+walks every h and ``is_p_orthogonal`` only the prefixes that still have an
+injective coordinate; each checks p and charges the n^(dp) index functions to
+the budget before it walks (``freegroup.is_p_dissociate`` does the same
+before it builds the unit monomials it hands to ``is_p_orthogonal``).
 ``alternating_moment`` walks a single h.  The kernel labels of h, the
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
-``MomentTable``, once it has also charged the p products of each h (its walk's
-steps, and the rows of the label pool), reads them from a cached table of
-integer labels and an injective mask, and adds the moments in lexicographic
-order of h.  The refinements the Mobius weights enumerate are counted there
-too, and charged on every call; a second cache holds the Mobius weight
-product of each label.
+``MomentTable``, once it has also charged the p products of each h (its
+walk's steps, and the rows of the label pool), reads them from a cached table
+of integer labels and an injective mask, and adds the moments in
+lexicographic order of h.  The refinements the Mobius weights enumerate are
+counted there too, and charged on every call; a second cache holds the Mobius
+weight product of each label.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .algebra import (
     OperatorFamily,
     ga_adjoint,
     ga_multiply,
-    ga_trace,
+    ga_product_trace,
 )
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 from .freegroup import gamma_indices
@@ -62,6 +62,8 @@ IndexFunction = tuple[tuple[int, ...], ...]
 #: (4 MiB of complex128).  It bounds the memory of a moment table
 #: independently of n^(dp).
 _BLOCK = 1 << 18
+#: Side of the diagonal blocks of a matrix walk's last product, if it divides N.
+_TRACE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def alternating_moment(
     f: OperatorFamily, h: Sequence[tuple[int, ...]], adjoint_first: bool = True
 ) -> complex:
     """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp)."""
-    if len(h) % 2:
-        raise ValueError("index functions must have even length")
+    if not h or len(h) % 2:
+        raise ValueError("index functions must have a positive even length")
     h = tuple(h)
     ((_, moments),) = _prefix_walk(f, len(h), adjoint_first, lambda pre: pre == h[: len(pre)])
     return complex(moments[0])
@@ -138,11 +140,13 @@ def _prefix_walk(
     A prefix product is its parent's product times one factor, so every moment
     is multiplied out left to right.  Matrices multiply as numpy stacks,
     ``acc[:, None] @ factor[None, :]``, group-algebra elements as object arrays
-    through the outer product of ``ga_multiply``.  With ``keep=None`` every h
-    is walked, a run broadcast over the completions of one prefix (h None)
-    within _BLOCK coefficient entries; otherwise only the prefixes ``keep``
-    accepts are grown, one at a time, and ``keep`` must reject every extension
-    of a prefix it rejects.  A non-finite moment raises ValueError naming h.
+    through the outer product of ``ga_multiply``, the last factor only traced:
+    diagonal blocks of a matrix product, ``ga_product_trace`` of elements.
+    With ``keep=None`` every h is walked, a run broadcast over the completions
+    of one prefix (h None) within _BLOCK coefficient entries; otherwise only
+    the prefixes ``keep`` accepts are grown, one at a time, and ``keep`` must
+    reject every extension of a prefix it rejects.  A non-finite moment raises
+    ValueError naming h.
     """
     gammas = f.gammas()
     k = len(gammas)
@@ -151,7 +155,11 @@ def _prefix_walk(
         adj = values.conj().swapaxes(1, 2).copy()
         entries = dim * dim
         mul = lambda acc, factor: (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
-        trace = lambda acc: np.trace(acc, axis1=1, axis2=2) / dim
+        b = _TRACE_BLOCK if dim % _TRACE_BLOCK == 0 else dim
+        # row block i of acc against column block i of the factor, for every pair
+        cols = lambda y: y.reshape(1, -1, dim, dim // b, b).swapaxes(-3, -2)
+        blocks = lambda acc, y: acc.reshape(-1, 1, dim // b, b, dim) @ cols(y)
+        last = lambda acc, y: np.diagonal(blocks(acc, y), 0, -2, -1).reshape(-1, dim).sum(-1) / dim
     else:
         values = np.array(f.members, dtype=object)
         adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
@@ -159,7 +167,8 @@ def _prefix_walk(
         # a run holds live objects: about 1 KiB (64 entries) each besides coefficients
         entries = 64 + math.prod(values[0].coeff_shape)
         mul = lambda acc, factor: outer(acc, factor).ravel()
-        trace = lambda acc: np.array([ga_trace(x) for x in acc], dtype=complex)
+        paired = np.frompyfunc(ga_product_trace, 2, 1).outer
+        last = lambda acc, factor: paired(acc, factor).ravel().astype(complex)
     # the factor at 0-based position s is factors[s % 2]
     factors = (adj, values) if adjoint_first else (values, adj)
 
@@ -172,19 +181,20 @@ def _prefix_walk(
             s = len(prefix)
             hs = None
             if keep is None and k ** (p - s) * entries <= _BLOCK:
-                for t in range(s, p):
+                for t in range(s, p - 1):
                     acc = factors[t % 2] if acc is None else mul(acc, factors[t % 2])
+                moments = last(acc, factors[(p - 1) % 2])
             else:
                 children = [
                     j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))
                 ]
                 rows = factors[s % 2][children]
-                acc = rows if acc is None else mul(acc, rows)
                 hs = [prefix + (gammas[j],) for j in children]
                 if s + 1 < p:
+                    acc = rows if acc is None else mul(acc, rows)
                     stack += reversed([(acc[i : i + 1], h) for i, h in enumerate(hs)])
                     continue
-            moments = trace(acc)
+                moments = last(acc, rows)
             finite = np.isfinite(moments)
             if not finite.all():
                 r = int(finite.argmin())

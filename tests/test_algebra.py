@@ -26,6 +26,7 @@ from orthosum.algebra import (
     ga_even_norm,
     ga_flatten,
     ga_multiply,
+    ga_product_trace,
     ga_to_json,
     ga_from_json,
     ga_trace,
@@ -474,6 +475,13 @@ def test_family_scale_and_sum():
     assert np.allclose(fam.sum_value(), 2 * np.eye(2))
 
 
+def test_family_scale_refuses_a_finite_norm_whose_power_overflows():
+    fam = matrix_family(1, 1, {(1,): np.array([[6.6906999803886e30]])})
+    assert family_scale(fam, 8) > 1e246
+    with pytest.raises(ValueError, match=r"family scale is not finite \(inf\) at p=10"):
+        family_scale(fam, 10)
+
+
 def test_matrix_json_roundtrip():
     r = rng(13)
     x = rand_matrix(r, 3)
@@ -614,6 +622,10 @@ def _check_against_oracle(arity, r, c, c2, tx, ty, tz, batch):
         zz = ga_multiply(z, ga_adjoint(z))
         want = ga_oracle.trace(ga_oracle.multiply(oz, ga_oracle.adjoint(oz)), arity)
         assert repr(ga_trace(zz)) == repr(want)
+        assert repr(ga_product_trace(z, ga_adjoint(z))) == repr(want)
+        if r == c2:
+            want = ga_oracle.trace(ga_oracle.multiply(ox, oy), arity)
+            assert repr(ga_product_trace(x, y)) == repr(want)
         for p in (2, 4, 6):
             want = ga_oracle.vv_norm(ox, arity, (r, c), p, c)
             assert repr(ga_vv_norm(x, p, c)) == repr(want)

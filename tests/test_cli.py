@@ -10,6 +10,8 @@ import time
 import pytest
 
 from orthosum.cli import main
+from orthosum.lab import FamilySpec, make_family
+from orthosum.orthogonality import is_p_orthogonal
 
 
 def run(capsys, *argv):
@@ -74,6 +76,18 @@ def test_ortho_pass_and_fail(tmp_path, capsys):
     report = json.loads(out)
     assert report["assertions"][0]["ok"] is False
     assert report["assertions"][0]["witness"]
+
+
+def test_ortho_keeps_the_exact_zeros_of_a_martingale_family(tmp_path, capsys):
+    """Every injective moment of this family multiplies out to exactly 0.0."""
+    fields = dict(kind="martingale_rademacher", n=5, d=1, p=4, dim=2, seed=3)
+    code, out, _ = run(capsys, "ortho", "--spec", spec_file(tmp_path, **fields))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["max_abs_violation"], results["count_checked"]) == (0.0, 120)
+    # the CLI takes the adjoint first; the other order multiplies other products
+    report = is_p_orthogonal(make_family(FamilySpec(**fields)), 4, 0.0, adjoint_first=False)
+    assert (report.max_abs_violation, report.count_checked) == (0.0, 120)
 
 
 def test_ortho_seed_override(tmp_path, capsys):

@@ -296,6 +296,11 @@ def pinned(cases):
           {**PLAIN_FILES, "family.json": {"n": 1, "d": 1, "values": {
               "1": {"dim": -1, "entries": [[1.0, 0.0]]}}},
            "spec.json": {"kind": "file", "path": "family.json", "p": 2}}))
+# a finite member norm whose 10th power overflows a float (once an OverflowError traceback)
+@example((["ortho", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "family.json": {"n": 1, "d": 1, "values": {
+              "1": {"dim": 1, "entries": [[6.6906999803886e30, 0.0]]}}},
+           "spec.json": {"kind": "file", "path": "family.json", "p": 10}}))
 # valid random_matrix reports against the oracle
 @example((["inequality", "--spec", "spec.json", "--budget", "3000"],
           {**PLAIN_FILES, "spec.json": random_matrix_spec(2, 2, 4)}))

@@ -64,3 +64,24 @@ def test_a_report_missing_on_either_side_differs():
     assert missing_in_change.endswith(": missing in the change")
     assert missing_in_parent.startswith("decompose seed 1 report 2 ")
     assert missing_in_parent.endswith(": missing in the parent")
+
+
+def test_a_moved_ortho_violation_differs():
+    parent = [record(0, workload="ortho", results={"max_abs_violation": 0.0})]
+    change = [record(0, workload="ortho", results={"max_abs_violation": 6.9e-18})]
+    (line,) = differences(parent, change)
+    assert line.startswith("ortho seed 1 report 0 ")
+    assert line.endswith(": report differs outside params")
+
+
+def test_the_ortho_list_runs_once_with_its_verdicts():
+    records = compare_reports.collect(_PATH.parent.parent, [])
+    assert [r["spec"] for r in records] == compare_reports.ORTHO_SPECS
+    assert {r["workload"] for r in records} == {"ortho"}
+    for r in records:
+        violation = json.loads(r["report"])["results"]["max_abs_violation"]
+        dense = r["spec"]["kind"] == "random_matrix"
+        assert (r["rc"], violation > 0) == ((1, True) if dense else (0, False)), r["spec"]
+    dims = sorted(r["spec"]["dim"] for r in records if r["spec"]["kind"] == "random_matrix")
+    assert dims == [8, 16, 24]
+    assert differences(records, records) == []

@@ -289,10 +289,17 @@ def test_factor_norm_report_runs_on_codes_through_module_ga_multiply(monkeypatch
     # the bench tracer patches these same names
     monkeypatch.setattr(algebra, "ga_multiply", spy)
     monkeypatch.setattr(factorization, "ga_multiply", spy)
+    pairings = []
+    real_trace = factorization.ga_product_trace
+    monkeypatch.setattr(
+        factorization, "ga_product_trace", lambda x, y: pairings.append(1) or real_trace(x, y)
+    )
     got = factor_norm_report(fam, sig, 4)
     assert words_built == []
-    # p - 1 chain products, then x* x for each of the p factor norms (p/2 = 2 pairs it)
-    assert len(products) == 3 + 4
+    # p - 2 chain products and one pairing with the last factor, then x* x for
+    # each of the p factor norms (p/2 = 2 pairs it)
+    assert len(products) == 2 + 4
+    assert len(pairings) == 1
     assert repr(got) == repr(want)
     factor = build_factors(fam, sig, 4)[0]
     assert len(factor.terms) == factor.term_count == 4

@@ -266,18 +266,20 @@ def test_dissociate_witness_is_the_first_identity_word(n, d, p, seed):
 def test_dissociate_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
     from orthosum import orthogonality
 
-    calls = []
-    original = orthogonality.ga_multiply
-    monkeypatch.setattr(
-        orthogonality, "ga_multiply", lambda x, y: calls.append(1) or original(x, y)
-    )
+    products, pairings = [], []
+    for name, calls in (("ga_multiply", products), ("ga_product_trace", pairings)):
+        original = getattr(orthogonality, name)
+        spy = lambda x, y, calls=calls, original=original: calls.append(1) or original(x, y)
+        monkeypatch.setattr(orthogonality, name, spy)
     assert is_p_dissociate(canonical_dissociate(n, d), p).ok
-    live = sum(
+    live = lambda lengths: sum(
         has_injective_projection(prefix, d)
-        for s in range(2, p + 1)
+        for s in lengths
         for prefix in product(gamma_indices(n, d), repeat=s)
     )
-    assert len(calls) == (live if n >= p else 0)
+    # one product per live prefix of length 2..p-1, one pairing per live h
+    assert len(products) == (live(range(2, p)) if n >= p else 0)
+    assert len(pairings) == (live([p]) if n >= p else 0)
 
 
 def _grid_reference(keys, n, d):

@@ -83,6 +83,13 @@ def test_alternating_moment_disjoint_diagonal_supports():
     assert alternating_moment(fam, ((1,), (2,))) == 0
 
 
+@pytest.mark.parametrize("h", [(), ((1,),), ((1,), (2,), (1,))])
+def test_alternating_moment_refuses_an_empty_or_odd_index_function(h):
+    fam = random_family(2, 1, 2, seed=3)
+    with pytest.raises(ValueError, match="positive even length"):
+        alternating_moment(fam, h)
+
+
 def test_alternating_moment_flip_order():
     fam = random_family(2, 1, 2, seed=3)
     h = ((1,), (2,))
@@ -538,6 +545,12 @@ WALK_FAMILIES = {
         FamilySpec("dissociate", n=n, d=d, p=p, dim=2, seed=62)
     ),
 }
+# dense sides whose last product the walk forms only in diagonal blocks
+DENSE_SIDES = (8, 16, 24, 64)
+WALK_FAMILIES.update(
+    (f"dense{side}", lambda n, d, p, side=side: random_family(n, d, side, seed=side + n + d + p))
+    for side in DENSE_SIDES
+)
 # n >= p and n < p, one and two indices
 WALK_SHAPES = [(3, 1, 2), (4, 1, 4), (2, 2, 2), (2, 1, 4), (2, 2, 4)]
 
@@ -558,17 +571,15 @@ def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p, adjo
 
 
 def count_products(monkeypatch):
+    """The walk's ga_multiply calls and its ga_product_trace calls (the traced last factor)."""
     from orthosum import orthogonality
 
-    calls = []
-    original = orthogonality.ga_multiply
-
-    def counted(x, y):
-        calls.append(1)
-        return original(x, y)
-
-    monkeypatch.setattr(orthogonality, "ga_multiply", counted)
-    return calls
+    products, pairings = [], []
+    for name, calls in (("ga_multiply", products), ("ga_product_trace", pairings)):
+        original = getattr(orthogonality, name)
+        spy = lambda x, y, calls=calls, original=original: calls.append(1) or original(x, y)
+        monkeypatch.setattr(orthogonality, name, spy)
+    return products, pairings
 
 
 @pytest.mark.parametrize("block", [1 << 18, 3])
@@ -578,23 +589,30 @@ def test_group_algebra_table_forms_each_prefix_product_once(monkeypatch, n, d, p
 
     fam = make_family(FamilySpec("free_generators", n=n, d=d, p=p))
     monkeypatch.setattr(orthogonality, "_BLOCK", block)
-    calls = count_products(monkeypatch)
+    products, pairings = count_products(monkeypatch)
     MomentTable(fam, p)
     k = n**d
-    assert len(calls) == sum(k**s for s in range(2, p + 1))
+    assert len(products) == sum(k**s for s in range(2, p))
+    assert len(pairings) == k**p
+
+
+def live_prefixes(n, d, lengths):
+    return sum(
+        has_injective_projection(prefix, d)
+        for s in lengths
+        for prefix in all_index_functions(n, d, s)
+    )
 
 
 @pytest.mark.parametrize("n,d,p", [(4, 1, 4), (2, 2, 2), (3, 2, 2), (2, 1, 4), (2, 2, 4)])
 def test_pruned_walk_forms_one_product_per_live_prefix(monkeypatch, n, d, p):
     fam = make_family(FamilySpec("free_generators", n=n, d=d, p=p))
-    calls = count_products(monkeypatch)
+    products, pairings = count_products(monkeypatch)
     is_p_orthogonal(fam, p, 0.0)
-    live = sum(
-        has_injective_projection(prefix, d)
-        for s in range(2, p + 1)
-        for prefix in all_index_functions(n, d, s)
-    )
-    assert len(calls) == (live if n >= p else 0)
+    # one product per live prefix of length 2..p-1, one pairing per live h
+    live = lambda lengths: live_prefixes(n, d, lengths) if n >= p else 0
+    assert len(products) == live(range(2, p))
+    assert len(pairings) == live([p])
 
 
 def overflowing_family():
@@ -625,3 +643,55 @@ def test_a_moment_table_of_another_family_p_or_adjoint_pattern_is_refused():
             psi(f2, sig, 4, table=table)
         with pytest.raises(ValueError, match="moment table"):
             phi(f2, sig, 4, table=table)
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+@pytest.mark.parametrize("side", [16, 24])
+@pytest.mark.parametrize("n,d,p", [(2, 2, 2), (4, 1, 4)])
+def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side, adjoint_first):
+    fam = random_family(n, d, side, seed=70 + side)
+    table = MomentTable(fam, p, adjoint_first=adjoint_first)
+    total = injective_sum = 0j
+    phi_map = {}
+    for h in all_index_functions(n, d, p):
+        moment = reference_moment(fam, h, adjoint_first)
+        total += moment
+        if has_injective_projection(h, d):
+            injective_sum += moment
+        phi_map[delta_of(h)] = phi_map.get(delta_of(h), 0j) + moment
+    assert injective_sum != 0
+    assert table.total == total
+    assert table.injective_sum == injective_sum
+    assert table.phi_map == phi_map
+
+
+def trace_operands(r, side):
+    """Pairs (a, b) of side x side matrices: dense, with signed zeros, and kron-structured."""
+    dense = lambda: rand_matrix(r, side)
+    zeros = dense()
+    zeros[r.random((side, side)) < 0.5] = complex(-0.0, 0.0)
+    zeros[r.random((side, side)) < 0.25] = 0.0
+    negative_zero = np.full((side, side), complex(-0.0, -0.0))
+    # martingale-like: Tr(a b) sums cancelling terms, to exact zeros or to rounding
+    signs = [r.choice((-1.0, 1.0), side // 2)] + [
+        (-1.0) ** (np.arange(side // 2) >> j & 1) for j in range(2)
+    ]
+    kron = lambda s: np.kron(rand_matrix(r, 2), np.diag(s))
+    return [(dense(), dense()), (zeros, dense()), (zeros, -zeros), (negative_zero, dense())] + [
+        (kron(s), kron(t)) for s in signs for t in signs
+    ]
+
+
+@pytest.mark.parametrize("side", [8, 16, 24, 40, 64, 72, 128, 136, 256])
+def test_traced_last_factor_is_bitwise_the_trace_of_the_full_product(side):
+    """Each diagonal entry of a block product is the full product's, bit for bit.
+
+    A BLAS that sums a block's entries in another order than the whole matmul
+    fails here rather than moving the reported moments silently.
+    """
+    r = rng(side)
+    for a, b in trace_operands(r, side):
+        # the moment of h = (1, 2), adjoint first, is Tr(a b)/N
+        fam = OperatorFamily(2, 1, MATRIX, {(1,): a.conj().T, (2,): b})
+        want = complex(np.trace(a @ b) / side)
+        assert repr(alternating_moment(fam, ((1,), (2,)))) == repr(want)

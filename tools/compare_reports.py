@@ -6,11 +6,15 @@ Each checkout runs in one subprocess of its own: it imports ``orthosum`` from
 its ``src/`` and the workloads from its ``bench/workloads.py``, writes each
 workload's spec and partition files for every seed into a temporary
 directory, and runs every report as an in-process ``orthosum.cli.main`` call
-with BLAS pinned to one thread, as ``bench/run.py`` does.  Nothing under
-``bench/`` is written.  Two reports match when their exit codes are equal and
-their JSON is equal outside ``params``, which holds each checkout's own file
-paths.  The tool prints how many reports differ and names the first few; it
-exits 0 when none differ, 1 when some do and 2 when a checkout fails to run.
+with BLAS pinned to one thread, as ``bench/run.py`` does.  Besides those it
+runs the fixed ``ORTHO_SPECS`` list of ``ortho`` reports once, under the
+workload name ``ortho``: no benchmark workload runs ``ortho``, yet its
+``max_abs_violation`` is the number a change to the moment walk can move.
+Nothing under ``bench/`` is written.  Two reports match when their exit codes
+are equal and their JSON is equal outside ``params``, which holds each
+checkout's own file paths.  The tool prints how many reports differ and names
+the first few; it exits 0 when none differ, 1 when some do and 2 when a
+checkout fails to run.
 Standard library only.
 """
 
@@ -23,7 +27,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-#: Runs in the checkout's directory; argv[1] is the JSON list of seeds.
+#: Runs in the checkout's directory; argv[1] is the JSON list of seeds and
+#: argv[2] the JSON list of ``ortho`` specs.
 _RUNNER = r"""
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
@@ -33,18 +38,47 @@ from orthosum import cli
 from workloads import WORKLOADS
 
 records = []
+
+def run(workload, seed, index, spec, argv, out):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    report = out.read_text() if out.exists() else None
+    records.append({"workload": workload, "seed": seed, "index": index,
+                    "spec": spec, "rc": rc, "report": report})
+
 for seed in json.loads(sys.argv[1]):
     for name, workload in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as tmp:
             for index, job in enumerate(workload.jobs(seed, Path(tmp))):
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    rc = cli.main(job.argv)
-                report = job.out.read_text() if job.out.exists() else None
-                records.append({"workload": name, "seed": seed, "index": index,
-                                "spec": job.spec, "rc": rc, "report": report})
+                run(name, seed, index, job.spec, job.argv, job.out)
+with tempfile.TemporaryDirectory() as tmp:
+    for index, spec in enumerate(json.loads(sys.argv[2])):
+        path, out = Path(tmp) / f"spec-{index}.json", Path(tmp) / f"report-{index}.json"
+        path.write_text(json.dumps(spec))
+        run("ortho", spec["seed"], index, spec, ["ortho", "--spec", str(path), "--out", str(out)], out)
 json.dump(records, sys.stdout)
 """
+
+#: The ``ortho`` reports run besides the benchmark's: Rademacher martingales,
+#: whose injective moments multiply out to exact zeros, a Rademacher family
+#: on 64 x 64 members, dense random members whose last products are traced in
+#: blocks (these exit 1, with non-zero violations), and the two word-based
+#: kinds, which take the group-algebra walk.
+ORTHO_SPECS = (
+    [
+        {"kind": "martingale_rademacher", "n": n, "d": 1, "p": 4, "dim": 2, "seed": 3}
+        for n in (4, 5, 6)
+    ]
+    + [{"kind": "rademacher", "n": 3, "d": 2, "p": 2, "dim": 1, "seed": 5}]
+    + [
+        {"kind": "random_matrix", "n": 4, "d": 1, "p": 4, "dim": dim, "seed": 7}
+        for dim in (8, 16, 24)
+    ]
+    + [
+        {"kind": "free_generators", "n": 4, "d": 1, "p": 4, "dim": 2, "seed": 0},
+        {"kind": "dissociate", "n": 3, "d": 2, "p": 2, "dim": 2, "seed": 11},
+    ]
+)
 
 #: Differences named in the printout.
 SHOWN = 5
@@ -52,10 +86,13 @@ _THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def collect(checkout: Path, seeds: list[int]) -> list[dict]:
-    """Every benchmark report of ``seeds`` in ``checkout``: its key, spec, exit code and text."""
+    """Every benchmark report of ``seeds`` in ``checkout``, then the ``ORTHO_SPECS`` reports.
+
+    Each record holds the report's key, spec, exit code and text.
+    """
     env = dict(os.environ, **dict.fromkeys(_THREADS, "1"))
     env.pop("PYTHONPATH", None)
-    cmd = [sys.executable, "-c", _RUNNER, json.dumps(seeds)]
+    cmd = [sys.executable, "-c", _RUNNER, json.dumps(seeds), json.dumps(ORTHO_SPECS)]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: report runner exited {done.returncode}:\n{done.stderr}")
