@@ -112,7 +112,10 @@ def _cmd_mobius(args) -> tuple[dict, list[dict], int | None]:
 
 def _cmd_dissociate(args) -> tuple[dict, list[dict], int | None]:
     if args.family.startswith("canonical:"):
-        n, d = (int(x) for x in args.family.split(":", 1)[1].split(","))
+        try:
+            n, d = map(int, args.family.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(f"--family {args.family!r} is not of the form canonical:n,d") from None
         if n < 1 or d < 1:
             raise ValueError(f"canonical:n,d needs positive n and d, got {n},{d}")
         check_budget(n, args.budget, "family members", d)
@@ -127,6 +130,8 @@ def _cmd_dissociate(args) -> tuple[dict, list[dict], int | None]:
 
 
 def _cmd_ortho(args) -> tuple[dict, list[dict], int | None]:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     spec, fam = _load_family(args)
     scale = family_scale(fam, spec.p, args.budget)
     tol = args.tol if args.tol is not None else 1e-9 * scale

@@ -2,10 +2,12 @@
 
 Given partitions sigma_1..sigma_d of the positions 1..p, each with at least
 one non-singleton block, the dominated moment sum factors as one trace of an
-ordered product of p group-algebra elements F_1..F_p.  Each F_s couples the
-family coefficients to telescoping generator words placed per block, so that
-the group trace of a product is 1 exactly when every kernel condition holds
-and 0 otherwise.
+ordered product of p group-algebra elements F_1..F_p.  One slot rule places
+the telescoping words: each pair a < b of consecutive elements in a block of
+sigma_k is one free-group factor (a slot), listed in (k, block, pair) order,
+where F_a carries g_(gamma_k)^-1, F_b carries g_(gamma_k) and every other F_s
+the empty word.  So the group trace of a product is 1 exactly when every
+kernel condition holds and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -30,37 +32,43 @@ from .orthogonality import MomentTable, psi
 from .partitions import SetPartition
 
 
-def _place_telescope(words: list[tuple[int, ...]], base: int, r: int, m: int, i: int) -> None:
-    """Write the rank-r coded word of a size-m block into the m-1 factors from ``base``.
+def _slots(sigmas: Sequence[SetPartition]) -> list[tuple[int, int, int]]:
+    """The slots (k, a, b) of a partition tuple, in (k, block, pair) order."""
+    return [
+        (k, a, b)
+        for k, sigma in enumerate(sigmas)
+        for block in sigma.blocks
+        for a, b in zip(block, block[1:])
+    ]
 
-    Rank r carries g_i in factor r-1 (unless r = 1) and g_i^-1 in factor r
-    (unless r = m), counting factors of the block from 1.
-    """
-    if r > 1:
-        words[base + r - 2] = (letter_code(i, 1),)
-    if r < m:
-        words[base + r - 1] = (letter_code(i, -1),)
+
+def _telescope(slots: list[tuple[int, int, int]], s: int, gamma: Sequence[int]) -> tuple:
+    """Position s's coded word tuple at index gamma, one word per slot."""
+    return tuple(
+        (letter_code(gamma[k], -1),) if s == a else (letter_code(gamma[k], 1),) if s == b else ()
+        for k, a, b in slots
+    )
 
 
 def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
     """The telescoping family xi_1..xi_m over F_n^(m-1), each a function of i.
 
-    xi_1(i) carries g_i^-1 in the first factor, xi_m(i) carries g_i in the
-    last, and each middle xi_r(i) carries g_i in factor r-1 and g_i^-1 in
-    factor r.  The trace of xi_1(g(1)) ... xi_m(g(m)) is 1 when g is constant
-    and 0 otherwise.
+    These are the factors of the one-block partition {1..m}, whose slot r
+    pairs r with r+1: xi_r(i) carries g_i in slot r-1 (unless r = 1) and
+    g_i^-1 in slot r (unless r = m).  The trace of xi_1(g(1)) ... xi_m(g(m))
+    is 1 when g is constant and 0 otherwise.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    slots = _slots((SetPartition.one_block(m),))
+    unit = np.ones((1, 1, 1), dtype=complex)
 
     def make(r: int) -> Callable[[int], GroupAlgebraElement]:
         def xi(i: int) -> GroupAlgebraElement:
-            words = [()] * (m - 1)
-            _place_telescope(words, 0, r, m, i)
-            unit = np.ones((1, 1, 1), dtype=complex)
-            return GroupAlgebraElement.from_codes(m - 1, n, (1, 1), [tuple(words)], unit)
+            words = [_telescope(slots, r, (i,))]
+            return GroupAlgebraElement.from_codes(m - 1, n, (1, 1), words, unit)
 
         return xi
 
@@ -117,21 +125,6 @@ class BlockAnatomy:
         return self.b_sets[self.d]
 
 
-def _slot_layout(anatomy: BlockAnatomy) -> tuple[int, dict[tuple[int, int], int]]:
-    """Assign m-1 free-group factors to every block of size m >= 2.
-
-    Returns the total factor count and a map (coordinate, block) -> offset.
-    """
-    offsets: dict[tuple[int, int], int] = {}
-    total = 0
-    for k, sigma in enumerate(anatomy.sigmas):
-        for j, block in enumerate(sigma.blocks):
-            if len(block) >= 2:
-                offsets[(k, j)] = total
-                total += len(block) - 1
-    return total, offsets
-
-
 def build_factors(
     f: OperatorFamily,
     sigmas: Sequence[SetPartition],
@@ -140,47 +133,32 @@ def build_factors(
 ) -> list[GroupAlgebraElement]:
     """The factors F_1..F_p realizing the dominated moment sum as one trace.
 
-    Position s in a block of size m at rank r contributes, in the factors
-    assigned to that block, the telescoping word of xi_r; singleton blocks
-    contribute nothing.  The coefficient of F_s is f_gamma* for odd s and
-    f_gamma for even s, and coefficients of indices that agree on every
-    non-singleton coordinate merge by addition.  The p * n^d terms are
-    charged to the budget before any is built.
+    F_s holds, for each index gamma, the words of position s in every slot
+    (see the module docstring); singleton blocks contribute no slot.  The
+    coefficient of F_s is f_gamma* for odd s and f_gamma for even s, and
+    coefficients of indices that agree on every non-singleton coordinate
+    merge by addition.  The tuple must hold d partitions of {1..p}, none of
+    them all singletons.  The p * n^d terms are charged to the budget before
+    any is built.
     """
-    return _build_factors(f, BlockAnatomy.from_sigmas(sigmas), p, budget)
-
-
-def _build_factors(
-    f: OperatorFamily, anatomy: BlockAnatomy, p: int, budget: int
-) -> list[GroupAlgebraElement]:
-    """:func:`build_factors` on the anatomy of the partition tuple."""
     if f.kind != MATRIX:
         raise KindError("factor construction needs a matrix-valued family")
-    if anatomy.d != f.d or anatomy.p != p:
+    # the count, then every ground size: (d, p) exactly when the tuple fits
+    shape = (len(sigmas), *sorted({sigma.ground_size for sigma in sigmas}))
+    if shape != (f.d, p):
         raise ValueError(
-            f"partition tuple shape ({anatomy.d}, {anatomy.p}) does not match "
-            f"family/posn shape ({f.d}, {p})"
+            f"partition tuple shape {shape} does not match family/posn shape ({f.d}, {p})"
         )
-    for sigma in anatomy.sigmas:
-        if sigma.num_blocks == p:
-            raise ValueError("every partition must exceed the all-singleton one")
+    if any(sigma.num_blocks == p for sigma in sigmas):
+        raise ValueError("every partition must exceed the all-singleton one")
     check_budget(p * f.n**f.d, budget, "factor term construction")
-    total, offsets = _slot_layout(anatomy)
+    slots = _slots(sigmas)
     adjoints = f.members.conj().transpose(0, 2, 1)
     factors = []
     for s in range(1, p + 1):
-        keys = []
-        for gamma in f.gammas():
-            words: list[tuple[int, ...]] = [()] * total
-            for k in range(f.d):
-                j = anatomy.block_index[k][s - 1]
-                block_size = len(anatomy.sigmas[k].blocks[j])
-                if block_size > 1:
-                    r = anatomy.block_rank[k][s - 1]
-                    _place_telescope(words, offsets[(k, j)], r, block_size, gamma[k])
-            keys.append(tuple(words))
+        keys = [_telescope(slots, s, gamma) for gamma in f.gammas()]
         stack = adjoints if s % 2 else f.members
-        factors.append(GroupAlgebraElement.from_codes(total, f.n, stack.shape[1:], keys, stack))
+        factors.append(GroupAlgebraElement.from_codes(len(slots), f.n, stack.shape[1:], keys, stack))
     return factors
 
 
@@ -251,8 +229,8 @@ def factor_norm_report(
     once, and the report carries the :func:`factorization_check` of the same
     factors.
     """
+    factors = build_factors(f, sigmas, p, budget)
     anatomy = BlockAnatomy.from_sigmas(sigmas)
-    factors = _build_factors(f, anatomy, p, budget)
     check = _factorization_report(psi(f, sigmas, p, budget, table), factors)
     records = []
     norms_product = 1.0

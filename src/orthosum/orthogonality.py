@@ -96,12 +96,18 @@ def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
 
 
 def alternating_moment(
-    f: OperatorFamily, h: Sequence[tuple[int, ...]], adjoint_first: bool = True
+    f: OperatorFamily, h: Sequence[Sequence[int]], adjoint_first: bool = True
 ) -> complex:
-    """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp)."""
+    """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp).
+
+    h holds a positive even number of multi-indices, each d entries in [1, n].
+    """
+    h = tuple(tuple(g) if isinstance(g, Sequence) else g for g in h)
     if not h or len(h) % 2:
         raise ValueError("index functions must have a positive even length")
-    h = tuple(h)
+    span = range(1, f.n + 1)
+    if not all(isinstance(g, tuple) and len(g) == f.d and all(i in span for i in g) for g in h):
+        raise ValueError(f"index function h = {h} leaves [n]^d = [{f.n}]^{f.d}")
     ((_, moments),) = _prefix_walk(f, len(h), adjoint_first, lambda pre: pre == h[: len(pre)])
     return complex(moments[0])
 

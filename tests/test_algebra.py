@@ -145,6 +145,12 @@ def test_flatten_rejects_group_algebra_families():
         flatten(fam, SplitPair((1,), ()))
 
 
+def test_flatten_refuses_a_split_of_another_d():
+    fam = matrix_family(2, 1, {(1,): np.eye(2), (2,): np.eye(2)})
+    with pytest.raises(ValueError, match="split of 1..2 against a 1-indexed family"):
+        flatten(fam, SplitPair((1,), (2,)))
+
+
 def test_vv_norm_scalar_block():
     fam = matrix_family(1, 1, {(1,): np.array([[3.0 - 4.0j]])})
     for split in all_splits(1):
@@ -556,6 +562,34 @@ def test_half_power_pairing_matches_full_expansion(kind, p):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     want_norm = max(np.trace(want).real / x.coeff_dim, 0.0) ** (1.0 / p)
     assert ga_even_norm(x, p) == pytest.approx(want_norm, rel=1e-12)
+
+
+def test_generator_sum_refuses_an_index_outside_the_grid_or_an_empty_map():
+    for gamma in [(3,), (0,), (1, 1)]:
+        with pytest.raises(ValueError, match=rf"index \({gamma[0]},.*outside \[2\]\^1"):
+            generator_sum({(1,): np.eye(1), gamma: np.eye(1)}, 2, 1)
+    with pytest.raises(ValueError, match="empty coefficient map"):
+        generator_sum({}, 2, 1)
+
+
+def test_group_algebra_families_refuse_non_uniform_parameters():
+    wide = ga_monomial(1, 3, [Word(((1, 1),))], np.eye(1))
+    with pytest.raises(ValueError, match="non-uniform group-algebra parameters"):
+        OperatorFamily(2, 1, GROUP_ALGEBRA, {(1,): lam(1), (2,): wide})
+
+
+@pytest.mark.parametrize(
+    "terms,match",
+    [
+        (5, "terms of an element must be a list"),
+        ([{"words": [1], "coeff": {"dim": 1, "entries": [[1, 0]]}}], "list of strings"),
+        ([{"words": "g1", "coeff": {"dim": 1, "entries": [[1, 0]]}}], "list of strings"),
+        ([], "group-algebra element with no terms"),
+    ],
+)
+def test_ga_json_refuses_malformed_terms_by_name(terms, match):
+    with pytest.raises(ValueError, match=match):
+        ga_from_json({"arity": 1, "n": 1, "terms": terms})
 
 
 def test_non_finite_coefficients_are_rejected():

@@ -249,6 +249,10 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
     assert "non-finite" in err
 
 
+#: --tol values that are no tolerance: negative or not finite
+BAD_TOLS = ("-1", "nan", "inf")
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -347,6 +351,20 @@ def test_nan_family_exits_2(tmp_path, capsys, command):
             lambda tmp: ["dissociate", "--family", write(tmp, '{"1": 5}'), "--p", "2"],
             id="word-not-string",
         ),
+        *(
+            pytest.param(
+                lambda tmp, tol=tol: [
+                    "ortho", "--spec", spec_file(tmp, kind="rademacher", n=2, d=1, p=4),
+                    "--tol", tol,
+                ],
+                id=f"tol-{tol}",
+            )
+            for tol in BAD_TOLS
+        ),
+        pytest.param(
+            lambda tmp: ["dissociate", "--family", "canonical:2", "--p", "2"],
+            id="canonical-one-field",
+        ),
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
@@ -354,6 +372,21 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_ortho_refuses_a_negative_or_non_finite_tol_by_name(tmp_path, capsys, tol):
+    spec = spec_file(tmp_path, kind="rademacher", n=2, d=1, p=4)
+    code, out, err = run(capsys, "ortho", "--spec", spec, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("family", ["canonical:2", "canonical:2,1,1", "canonical:a,b", "canonical:"])
+def test_dissociate_names_the_canonical_form_of_a_bad_family(capsys, family):
+    code, out, err = run(capsys, "dissociate", "--family", family, "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: --family {family!r} is not of the form canonical:n,d\n"
 
 
 def fd_is_open(fd):

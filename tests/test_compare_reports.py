@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 _SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
 compare_reports = importlib.util.module_from_spec(_SPEC)
@@ -74,14 +76,39 @@ def test_a_moved_ortho_violation_differs():
     assert line.endswith(": report differs outside params")
 
 
-def test_the_ortho_list_runs_once_with_its_verdicts():
-    records = compare_reports.collect(_PATH.parent.parent, [])
+@pytest.fixture(scope="module")
+def extra_records():
+    """The records of this checkout's extra report lists, with no benchmark seed."""
+    return compare_reports.collect(_PATH.parent.parent, [])
+
+
+def test_the_extra_lists_run_once_each_and_nothing_else(extra_records):
+    assert [(r["workload"], r["spec"]) for r in extra_records] == [
+        (workload, spec)
+        for workload, (_, specs) in compare_reports.EXTRA_REPORTS.items()
+        for spec in specs
+    ]
+
+
+def test_the_ortho_list_runs_once_with_its_verdicts(extra_records):
+    records = [r for r in extra_records if r["workload"] == "ortho"]
     assert [r["spec"] for r in records] == compare_reports.ORTHO_SPECS
-    assert {r["workload"] for r in records} == {"ortho"}
     for r in records:
         violation = json.loads(r["report"])["results"]["max_abs_violation"]
         dense = r["spec"]["kind"] == "random_matrix"
         assert (r["rc"], violation > 0) == ((1, True) if dense else (0, False)), r["spec"]
     dims = sorted(r["spec"]["dim"] for r in records if r["spec"]["kind"] == "random_matrix")
     assert dims == [8, 16, 24]
+    assert differences(records, records) == []
+
+
+def test_the_factorize_list_checks_every_partition_tuple(extra_records):
+    records = [r for r in extra_records if r["workload"] == "factorize_all"]
+    assert [r["spec"] for r in records] == compare_reports.FACTORIZE_SPECS
+    # (partitions of {1..p} but the all-singleton one)^d: (203 - 1)^1 and (15 - 1)^3
+    assert [json.loads(r["report"])["results"]["tuples_checked"] for r in records] == [202, 2744]
+    for r in records:
+        report = json.loads(r["report"])
+        assert (r["rc"], report["command"]) == (0, "factorize"), r["spec"]
+        assert all(a["ok"] for a in report["assertions"]), r["spec"]
     assert differences(records, records) == []

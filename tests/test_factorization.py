@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from factor_oracle import block_offsets, placed_words, reference_factors
 
 from orthosum.algebra import (
     MATRIX,
@@ -78,6 +79,8 @@ def test_xi_family_constant_detection_exact(m, n):
 def test_xi_family_requires_m_at_least_two():
     with pytest.raises(ValueError):
         xi_family(1, 2)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        xi_family(3, 0)
 
 
 def test_block_anatomy():
@@ -320,3 +323,72 @@ def test_factorization_reports_refuse_another_familys_moment_table():
     with pytest.raises(ValueError, match="moment table"):
         factor_norm_report(f2, sig, 4, table=foreign)
     assert factorization_check(f2, sig, 4, table=MomentTable(f2, 4)).abs_err <= 1e-9 * family_scale(f2, 4)
+
+
+def coded_terms(element):
+    """An element's terms keyed by word tuples rebuilt from its codes."""
+    return {WordTuple.from_codes(key): c for key, c in zip(element.keys, element.coeffs)}
+
+
+@pytest.mark.parametrize("d,p", [(1, 2), (1, 4), (1, 6), (2, 4), (3, 4)])
+def test_build_factors_equals_the_rank_placement_oracle(d, p):
+    fam = random_family(2, d, 2 if d < 3 else 1, seed=50 + 10 * d + p)
+    parts = [s for s in all_partitions(p) if s.num_blocks < p]
+    for sigmas in product(parts, repeat=d):
+        factors = build_factors(fam, sigmas, p)
+        for factor, want in zip(factors, reference_factors(fam, sigmas, p), strict=True):
+            got = coded_terms(factor)
+            assert factor.arity == block_offsets(sigmas)[0], sigmas
+            assert got.keys() == want.keys(), sigmas
+            assert all(np.array_equal(got[key], want[key]) for key in want), sigmas
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_xi_family_equals_the_rank_placement_oracle(m):
+    one_block = (SetPartition.one_block(m),)
+    for r, xi in enumerate(xi_family(m, 2), start=1):
+        for i in (1, 2):
+            element = xi(i)
+            assert (element.arity, element.n) == (m - 1, 2)
+            assert list(coded_terms(element)) == [placed_words(one_block, r, (i,))]
+            assert element.coeffs.tolist() == [[[1]]]
+
+
+def test_factor_norm_report_builds_its_factors_through_module_build_factors(monkeypatch):
+    from orthosum import factorization
+
+    calls = []
+    real = factorization.build_factors
+    # the bench tracer patches this same name
+    monkeypatch.setattr(
+        factorization, "build_factors", lambda *args: calls.append(args) or real(*args)
+    )
+    fam = random_family(2, 2, 2, seed=43)
+    sig = (SetPartition.from_blocks([[1, 2], [3], [4]]), SetPartition.one_block(4))
+    factor_norm_report(fam, sig, 4)
+    assert [args[1] for args in calls] == [sig]
+
+
+@pytest.mark.parametrize(
+    "sigmas,shape",
+    [
+        ((), r"\(0,\)"),
+        ((SetPartition.one_block(4),), r"\(1, 4\)"),
+        ((SetPartition.one_block(4), SetPartition.one_block(2)), r"\(2, 2, 4\)"),
+        ((SetPartition.one_block(2),) * 2, r"\(2, 2\)"),
+    ],
+)
+def test_build_factors_refuses_a_partition_tuple_of_another_shape(sigmas, shape):
+    fam = random_family(2, 2, 2, seed=44)
+    match = rf"partition tuple shape {shape} does not match family/posn shape \(2, 4\)"
+    with pytest.raises(ValueError, match=match):
+        build_factors(fam, sigmas, 4)
+    with pytest.raises(ValueError, match=match):
+        factor_norm_report(fam, sigmas, 4)
+
+
+def test_block_anatomy_refuses_an_empty_or_uneven_tuple():
+    with pytest.raises(ValueError, match="need at least one partition"):
+        BlockAnatomy.from_sigmas(())
+    with pytest.raises(ValueError, match="must share a ground size"):
+        BlockAnatomy.from_sigmas((SetPartition.one_block(4), SetPartition.one_block(2)))

@@ -1,6 +1,7 @@
 """Moments, kernel partitions, and the decomposition identity, with brute-force sums."""
 
 import math
+import re
 from itertools import product
 from pathlib import Path
 
@@ -83,11 +84,36 @@ def test_alternating_moment_disjoint_diagonal_supports():
     assert alternating_moment(fam, ((1,), (2,))) == 0
 
 
-@pytest.mark.parametrize("h", [(), ((1,),), ((1,), (2,), (1,))])
+@pytest.mark.parametrize(
+    "h",
+    [(), ((1,),), ((1,), (2,), (1,)), ((1,), (3,)), ((1, 2), (1, 2)), ((0,), (1,)), ((1,), 2)],
+)
 def test_alternating_moment_refuses_an_empty_or_odd_index_function(h):
     fam = random_family(2, 1, 2, seed=3)
-    with pytest.raises(ValueError, match="positive even length"):
+    if not h or len(h) % 2:
+        match = "positive even length"
+    else:  # even, but some entry is not a 1-tuple in [1, 2]
+        match = re.escape(f"index function h = {h} leaves [n]^d = [2]^1")
+    with pytest.raises(ValueError, match=match):
         alternating_moment(fam, h)
+
+
+def test_alternating_moment_accepts_any_sequence_of_multi_indices():
+    fam = random_family(2, 2, 2, seed=3)
+    h = ((1, 2), (2, 1), (2, 2), (1, 1))
+    want = alternating_moment(fam, h)
+    assert alternating_moment(fam, [list(g) for g in h]) == want
+    assert alternating_moment(fam, list(h)) == want
+    assert want == reference_moment(fam, h)
+
+
+def test_phi_and_psi_refuse_a_partition_tuple_of_another_shape():
+    fam = random_family(2, 1, 2, seed=5)
+    for fn in (phi, psi):
+        with pytest.raises(ValueError, match="expected 1 partitions, got 2"):
+            fn(fam, [SetPartition.one_block(4)] * 2, 4)
+        with pytest.raises(ValueError, match="partition ground size 2 != 4"):
+            fn(fam, [SetPartition.one_block(2)], 4)
 
 
 def test_alternating_moment_flip_order():

@@ -7,9 +7,11 @@ its ``src/`` and the workloads from its ``bench/workloads.py``, writes each
 workload's spec and partition files for every seed into a temporary
 directory, and runs every report as an in-process ``orthosum.cli.main`` call
 with BLAS pinned to one thread, as ``bench/run.py`` does.  Besides those it
-runs the fixed ``ORTHO_SPECS`` list of ``ortho`` reports once, under the
-workload name ``ortho``: no benchmark workload runs ``ortho``, yet its
-``max_abs_violation`` is the number a change to the moment walk can move.
+runs two fixed lists once: ``ORTHO_SPECS``, under the workload name
+``ortho``, since no benchmark workload runs ``ortho``, yet its
+``max_abs_violation`` is the number a change to the moment walk can move; and
+``FACTORIZE_SPECS``, under ``factorize_all``, every partition tuple of shapes
+the benchmark's ``factorize`` workload does not reach.
 Nothing under ``bench/`` is written.  Two reports match when their exit codes
 are equal and their JSON is equal outside ``params``, which holds each
 checkout's own file paths.  The tool prints how many reports differ and names
@@ -28,7 +30,7 @@ import sys
 from pathlib import Path
 
 #: Runs in the checkout's directory; argv[1] is the JSON list of seeds and
-#: argv[2] the JSON list of ``ortho`` specs.
+#: argv[2] the JSON object ``EXTRA_REPORTS``.
 _RUNNER = r"""
 import contextlib, io, json, sys, tempfile
 from pathlib import Path
@@ -52,10 +54,13 @@ for seed in json.loads(sys.argv[1]):
             for index, job in enumerate(workload.jobs(seed, Path(tmp))):
                 run(name, seed, index, job.spec, job.argv, job.out)
 with tempfile.TemporaryDirectory() as tmp:
-    for index, spec in enumerate(json.loads(sys.argv[2])):
-        path, out = Path(tmp) / f"spec-{index}.json", Path(tmp) / f"report-{index}.json"
-        path.write_text(json.dumps(spec))
-        run("ortho", spec["seed"], index, spec, ["ortho", "--spec", str(path), "--out", str(out)], out)
+    for workload, (command, specs) in json.loads(sys.argv[2]).items():
+        for index, spec in enumerate(specs):
+            path = Path(tmp) / f"{workload}-spec-{index}.json"
+            out = Path(tmp) / f"{workload}-{index}.json"
+            path.write_text(json.dumps(spec))
+            argv = [command, "--spec", str(path), "--out", str(out)]
+            run(workload, spec["seed"], index, spec, argv, out)
 json.dump(records, sys.stdout)
 """
 
@@ -80,19 +85,30 @@ ORTHO_SPECS = (
     ]
 )
 
+#: The all-tuple ``factorize`` reports run besides the benchmark's, whose only
+#: ``factorize`` shape is d = 2, p = 4: one coordinate with six positions, and
+#: three coordinates (2744 partition tuples).
+FACTORIZE_SPECS = [
+    {"kind": "random_matrix", "n": 2, "d": 1, "p": 6, "dim": 2, "seed": 13},
+    {"kind": "random_matrix", "n": 2, "d": 3, "p": 4, "dim": 1, "seed": 17},
+]
+
+#: The extra reports by workload name: the CLI command, and its specs.
+EXTRA_REPORTS = {"ortho": ("ortho", ORTHO_SPECS), "factorize_all": ("factorize", FACTORIZE_SPECS)}
+
 #: Differences named in the printout.
 SHOWN = 5
 _THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def collect(checkout: Path, seeds: list[int]) -> list[dict]:
-    """Every benchmark report of ``seeds`` in ``checkout``, then the ``ORTHO_SPECS`` reports.
+    """Every benchmark report of ``seeds`` in ``checkout``, then the ``EXTRA_REPORTS``.
 
     Each record holds the report's key, spec, exit code and text.
     """
     env = dict(os.environ, **dict.fromkeys(_THREADS, "1"))
     env.pop("PYTHONPATH", None)
-    cmd = [sys.executable, "-c", _RUNNER, json.dumps(seeds), json.dumps(ORTHO_SPECS)]
+    cmd = [sys.executable, "-c", _RUNNER, json.dumps(seeds), json.dumps(EXTRA_REPORTS)]
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: report runner exited {done.returncode}:\n{done.stderr}")
