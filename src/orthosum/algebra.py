@@ -16,10 +16,11 @@ its coefficient products by batched matmul and sums those of equal words in
 pair order, the terms of x outer and those of y inner, both in sorted word
 order; each sum runs from its first product, so it is bit for bit the running
 sum of term-by-term accumulation, signed zeros included.  Coefficients that
-cancel to exactly zero are pruned after every product.  The identity
-coefficient of x y is read without forming x y, by pairing: the sum, from -0.0
-in x's sorted word order, of X_w Y_(w^-1), the products x y merges there
-(``ga_product_trace``).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
+cancel to exactly zero are pruned after every product.  The trace of the
+identity coefficient of x y is read without forming x y, by pairing: the sum,
+from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
+products x y merges there (``ga_product_trace``, with ``product_diagonals``,
+the matrix walk's trace).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
 and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.
 Rectangular elements (group-algebra flattenings) keep x* x even when wide:
 their bits are pinned to the object-product oracle in the tests.
@@ -54,6 +55,8 @@ GROUP_ALGEBRA = "group_algebra"
 
 #: Coefficient entries formed per batched matmul of a group-algebra product.
 _BATCH = 1 << 16
+#: Side of the diagonal blocks of a traced product, if it divides the side N.
+_TRACE_BLOCK = 8
 
 
 def as_tracial_matrix(x) -> np.ndarray:
@@ -83,6 +86,21 @@ def _matrix_even_trace(x: np.ndarray, p: int) -> complex:
     check_even_p(p)
     gram = x @ x.conj().T if x.shape[0] < x.shape[1] else x.conj().T @ x
     return np.trace(np.linalg.matrix_power(gram, p // 2))
+
+
+def product_diagonals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Diagonals (..., q, N) of x_i @ y, x_i the N-row slabs of x (..., q N, K), y (..., K, N).
+
+    Row block r of all slabs, stacked, meets column block r of y in one matmul
+    (blocks of 8 where 8 divides N, else of N): each entry keeps its bits.
+    """
+    k, n = y.shape[-2:]
+    b = _TRACE_BLOCK if n % _TRACE_BLOCK == 0 else n
+    slabs = x.reshape(x.shape[:-2] + (-1, n // b, b, k)).swapaxes(-4, -3)
+    cols = y.reshape(y.shape[:-2] + (k, n // b, b)).swapaxes(-3, -2)
+    prods = slabs.reshape(slabs.shape[:-3] + (-1, k)) @ cols
+    diag = np.diagonal(prods.reshape(prods.shape[:-2] + (-1, b, b)), 0, -2, -1)
+    return diag.swapaxes(-3, -2).copy().reshape(diag.shape[:-3] + (-1, n))
 
 
 def schatten_even_norm(x, p: int) -> float:
@@ -359,70 +377,66 @@ def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
     )
 
 
-def _paired_identity(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:
-    """Coefficient at the identity of x y, without forming x y.
+def _paired_diagonal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:
+    """Diagonal of the coefficient at the identity of x y, without forming x y.
 
-    It sums, from -0.0, X_w Y_(w^-1) over the words w of x in sorted order, as
-    ga_multiply merges them, unpruned; the shorter side's words are inverted.
+    It sums, from -0.0, the diagonals of X_w Y_(w^-1) over the words w of x in
+    sorted order, as ga_multiply merges them, unpruned; the shorter side's
+    non-empty words are inverted.
     """
-    acc = np.full(_chained_shape(x, y), complex(-0.0, -0.0))
+    r, c = _chained_shape(x, y)
+    if r != c:
+        raise ValueError("trace of a rectangular element")
+    acc = np.full(r, complex(-0.0, -0.0))
     flip = len(x.keys) < len(y.keys)  # bisect the shorter side's inverses in the other
     short, long = (x.keys, y.keys) if flip else (y.keys, x.keys)
-    inverses = [tuple(map(code_inverse, key)) for key in short]
+    inverses = [tuple(code_inverse(w) if w else w for w in key) for key in short]
     at = [bisect.bisect_left(long, key) for key in inverses]
     found = [(i, j) for j, i in enumerate(at) if i < len(long) and long[i] == inverses[j]]
     a, b = np.array(sorted(p[::-1] if flip else p for p in found), dtype=np.intp).reshape(-1, 2).T
-    step = max(1, _BATCH // acc.size)
+    step = max(1, _BATCH // (r * c))
     for i in range(0, len(a), step):
-        prods = x.coeffs[a[i : i + step]] @ y.coeffs[b[i : i + step]]
-        prods[0] += acc  # acc + X_w Y_(w^-1), in one running sum
-        acc = np.add.accumulate(prods, axis=0)[-1]
+        diags = product_diagonals(x.coeffs[a[i : i + step]], y.coeffs[b[i : i + step]])[:, 0]
+        diags[0] += acc  # acc + diag(X_w Y_(w^-1)), in one running sum
+        acc = np.add.accumulate(diags, axis=0)[-1]
     return acc
-
-
-def _normalized_trace(coeff: np.ndarray | None) -> complex:
-    """Tr/N of an identity coefficient; 0j when it is absent or exactly zero."""
-    if coeff is None or not coeff.any():
-        return 0j
-    if coeff.shape[0] != coeff.shape[1]:
-        raise ValueError("trace of a rectangular element")
-    return complex(np.trace(coeff) / coeff.shape[0])
 
 
 def ga_trace(x: GroupAlgebraElement) -> complex:
     """Normalized trace of the coefficient at the identity tuple, the least key (0 if absent)."""
-    return _normalized_trace(x.coeffs[0] if x.keys and not any(x.keys[0]) else None)
+    if not x.keys or any(x.keys[0]):
+        return 0j
+    return complex(np.trace(x.coeffs[0]) / x.coeff_dim)  # coeff_dim refuses a rectangle
 
 
 def ga_product_trace(x: GroupAlgebraElement, y: GroupAlgebraElement) -> complex:
-    """``ga_trace(ga_multiply(x, y))``, read off the paired words of x and y."""
-    return _normalized_trace(_paired_identity(x, y))
+    """``ga_trace(ga_multiply(x, y))`` from the paired words of x and y; 0j on a zero diagonal."""
+    diagonal = _paired_diagonal(x, y)
+    return complex(diagonal.sum() / len(diagonal)) if diagonal.any() else 0j
 
 
-def _gram_power_identity_coeff(
-    x: GroupAlgebraElement, p: int, budget: int
-) -> np.ndarray:
-    """Coefficient at the identity of (x* x)^(p/2), by half-power pairing.
+def _gram_power_diagonal(x: GroupAlgebraElement, p: int, budget: int) -> np.ndarray:
+    """Diagonal of the coefficient at the identity of (x* x)^(p/2), by half-power pairing.
 
-    With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), the
-    coefficient is :func:`_paired_identity` of A and B; for k = 1 of x* and x.
+    With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), it is
+    :func:`_paired_diagonal` of A and B; for k = 1 of x* and x.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
     check_budget(p // 2, budget, "even-norm products")
     k = p // 2
     if k == 1:
-        return _paired_identity(ga_adjoint(x), x)
+        return _paired_diagonal(ga_adjoint(x), x)
     half = gram = ga_multiply(ga_adjoint(x), x)
     for _ in range(k // 2 - 1):
         half = ga_multiply(half, gram)
     other = ga_multiply(half, gram) if k % 2 else half
-    return _paired_identity(half, other)
+    return _paired_diagonal(half, other)
 
 
 def ga_even_norm(x: GroupAlgebraElement, p: int, budget: int = DEFAULT_BUDGET) -> float:
     """Exact L_p norm at even p under the normalized trace: ga_vv_norm at coeff_dim."""
-    return _even_root(np.trace(_gram_power_identity_coeff(x, p, budget)), x.coeff_dim, p)
+    return _even_root(_gram_power_diagonal(x, p, budget).sum(), x.coeff_dim, p)
 
 
 def ga_vv_norm(
@@ -433,7 +447,7 @@ def ga_vv_norm(
     The trace is normalized by ``coeff_dim`` only, leaving the matrix-unit
     factor un-normalized; used on flattened families.
     """
-    return _even_root(np.trace(_gram_power_identity_coeff(x, p, budget)), coeff_dim, p)
+    return _even_root(_gram_power_diagonal(x, p, budget).sum(), coeff_dim, p)
 
 
 def generator_sum(

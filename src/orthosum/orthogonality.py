@@ -10,7 +10,8 @@ sums.
 
 This module owns index functions.  Every moment comes from one walk over the
 tree of h-prefixes, which forms each prefix product once and shares it with
-every h that extends it; the last product it only traces.  ``MomentTable``
+every h that extends it, a run of matrix products stacked as rows in one
+matmul per factor; the last product it only traces.  ``MomentTable``
 walks every h and ``is_p_orthogonal`` only the prefixes that still have an
 injective coordinate; each checks p and charges the n^(dp) index functions to
 the budget before it walks (``freegroup.is_p_dissociate`` does the same
@@ -42,6 +43,7 @@ from .algebra import (
     ga_adjoint,
     ga_multiply,
     ga_product_trace,
+    product_diagonals,
 )
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 from .freegroup import gamma_indices
@@ -62,8 +64,6 @@ IndexFunction = tuple[tuple[int, ...], ...]
 #: (4 MiB of complex128).  It bounds the memory of a moment table
 #: independently of n^(dp).
 _BLOCK = 1 << 18
-#: Side of the diagonal blocks of a matrix walk's last product, if it divides N.
-_TRACE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,12 @@ def _prefix_walk(
     """Runs of alternating moments of f, lexicographic in h, each with its h.
 
     A prefix product is its parent's product times one factor, so every moment
-    is multiplied out left to right.  Matrices multiply as numpy stacks,
-    ``acc[:, None] @ factor[None, :]``, group-algebra elements as object arrays
+    is multiplied out left to right.  Matrix prefix products are stacked as
+    rows, one matmul per factor (``acc.reshape(m * N, N) @ factor``, the same
+    BLAS dot products per row as one pair's), group-algebra elements multiply
     through the outer product of ``ga_multiply``, the last factor only traced:
-    diagonal blocks of a matrix product, ``ga_product_trace`` of elements.
+    ``product_diagonals`` of matrices, ``ga_product_trace`` of elements.  A run
+    is formed factor-major and its moments transposed to lexicographic order.
     With ``keep=None`` every h is walked, a run broadcast over the completions
     of one prefix (h None) within _BLOCK coefficient entries; otherwise only
     the prefixes ``keep`` accepts are grown, one at a time, and ``keep`` must
@@ -160,21 +162,18 @@ def _prefix_walk(
         values, dim = f.members, f.coeff_dim
         adj = values.conj().swapaxes(1, 2).copy()
         entries = dim * dim
-        mul = lambda acc, factor: (acc[:, None] @ factor[None, :]).reshape(-1, dim, dim)
-        b = _TRACE_BLOCK if dim % _TRACE_BLOCK == 0 else dim
-        # row block i of acc against column block i of the factor, for every pair
-        cols = lambda y: y.reshape(1, -1, dim, dim // b, b).swapaxes(-3, -2)
-        blocks = lambda acc, y: acc.reshape(-1, 1, dim // b, b, dim) @ cols(y)
-        last = lambda acc, y: np.diagonal(blocks(acc, y), 0, -2, -1).reshape(-1, dim).sum(-1) / dim
+        # the prefix products stacked as rows: one matmul per factor
+        mul = lambda acc, factor: (acc.reshape(-1, dim) @ factor).reshape(-1, dim, dim)
+        last = lambda acc, y: (product_diagonals(acc.reshape(-1, dim), y).sum(-1) / dim).ravel()
     else:
         values = np.array(f.members, dtype=object)
         adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
         outer = np.frompyfunc(ga_multiply, 2, 1).outer
         # a run holds live objects: about 1 KiB (64 entries) each besides coefficients
         entries = 64 + math.prod(values[0].coeff_shape)
-        mul = lambda acc, factor: outer(acc, factor).ravel()
+        mul = lambda acc, factor: outer(acc, factor).T.ravel()
         paired = np.frompyfunc(ga_product_trace, 2, 1).outer
-        last = lambda acc, factor: paired(acc, factor).ravel().astype(complex)
+        last = lambda acc, factor: paired(acc, factor).T.ravel().astype(complex)
     # the factor at 0-based position s is factors[s % 2]
     factors = (adj, values) if adjoint_first else (values, adj)
 
@@ -189,7 +188,8 @@ def _prefix_walk(
             if keep is None and k ** (p - s) * entries <= _BLOCK:
                 for t in range(s, p - 1):
                     acc = factors[t % 2] if acc is None else mul(acc, factors[t % 2])
-                moments = last(acc, factors[(p - 1) % 2])
+                # factor-major: position p - 1 varies slowest; back to lexicographic
+                moments = last(acc, factors[(p - 1) % 2]).reshape((k,) * (p - s)).T.ravel()
             else:
                 children = [
                     j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))

@@ -112,3 +112,19 @@ def test_the_factorize_list_checks_every_partition_tuple(extra_records):
         assert (r["rc"], report["command"]) == (0, "factorize"), r["spec"]
         assert all(a["ok"] for a in report["assertions"]), r["spec"]
     assert differences(records, records) == []
+
+
+def test_the_decompose_list_covers_member_sides_and_a_walk_in_several_runs(extra_records):
+    from orthosum.orthogonality import _BLOCK
+
+    records = [r for r in extra_records if r["workload"] == "decompose_dims"]
+    assert [r["spec"] for r in records] == compare_reports.DECOMPOSE_SPECS
+    assert [r["spec"]["dim"] for r in records] == [1, 2, 5, 8, 12, 16, 8]
+    for r in records:
+        report = json.loads(r["report"])
+        assert (r["rc"], report["command"]) == (0, "decompose"), r["spec"]
+        assert all(a["ok"] for a in report["assertions"]), r["spec"]
+    # the last shape's moment table holds more entries than one run
+    spec = records[-1]["spec"]
+    assert spec["n"] ** (spec["d"] * spec["p"]) * spec["dim"] ** 2 > _BLOCK
+    assert differences(records, records) == []

@@ -30,7 +30,7 @@ from orthosum.orthogonality import (
 )
 from orthosum.partitions import SetPartition, all_partitions, refines
 
-from moment_oracle import reference_moment
+from moment_oracle import per_pair_moments, reference_moment
 
 
 def rng(seed=0):
@@ -654,6 +654,65 @@ def test_overflowed_moment_raises_instead_of_passing():
         is_p_orthogonal(fam, 4, 1.0)
     with pytest.raises(ValueError, match=r"non-finite .* \(\(1,\), \(1,\), \(1,\), \(1,\)\)"):
         MomentTable(fam, 4)
+
+
+def first_non_finite(fam, hs, reverse=False):
+    """The first h of ``hs`` whose reference moment (of h reversed, if asked) is not finite."""
+    with np.errstate(all="ignore"):
+        return next(
+            h for h in hs if not np.isfinite(reference_moment(fam, h[::-1] if reverse else h))
+        )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_non_finite_moment_inside_a_run_is_named_by_its_own_h():
+    # one huge member; a tiny one whose product with another underflows to 0
+    scalars = {(1, 1): 1e-300, (1, 2): 1e300, (2, 1): 1e10, (2, 2): 1.0}
+    fam = OperatorFamily(2, 2, MATRIX, {g: np.array([[v]]) for g, v in scalars.items()})
+    table_h = first_non_finite(fam, all_index_functions(2, 2, 4))
+    # the walk forms a run factor-major, the last position varying slowest:
+    # read as lexicographic, it would name the first h whose mirror is non-finite
+    assert table_h == ((1, 1), (1, 2), (1, 2), (1, 2))
+    assert first_non_finite(fam, all_index_functions(2, 2, 4), reverse=True) != table_h
+    with pytest.raises(ValueError, match=re.escape(f"index function {table_h}")):
+        MomentTable(fam, 4)
+    injective = (h for h in all_index_functions(2, 2, 2) if has_injective_projection(h, 2))
+    ortho_h = first_non_finite(fam, injective)
+    # the second child of the prefix ((1, 2),)
+    assert ortho_h == ((1, 2), (2, 1))
+    with pytest.raises(ValueError, match=re.escape(f"index function {ortho_h}")):
+        is_p_orthogonal(fam, 2, 1.0)
+
+
+@pytest.mark.parametrize("adjoint_first", [True, False])
+@pytest.mark.parametrize("small_block", [False, True])
+@pytest.mark.parametrize("side", [1, 2, 3, 5, 8, 12, 16, 24])
+def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(
+    monkeypatch, side, small_block, adjoint_first
+):
+    """The walk's moments are those of one BLAS call per (prefix, factor) pair, bit for bit.
+
+    A BLAS whose row-stacked product sums a row otherwise than the per-pair
+    product fails here by name instead of moving the reported moments.
+    """
+    from orthosum import orthogonality
+
+    pruned = 0
+    for n, d, p in [(4, 1, 4), (3, 2, 2), (2, 2, 4)]:
+        fam = random_family(n, d, side, seed=80 + side + n)
+        k = n**d
+        if small_block:  # runs of two positions, and single prefixes above them
+            monkeypatch.setattr(orthogonality, "_BLOCK", k * k * side * side)
+        want = per_pair_moments(fam, p, adjoint_first)
+        got = np.concatenate([m for _, m in orthogonality._prefix_walk(fam, p, adjoint_first)])
+        assert repr(got.tolist()) == repr(want.tolist()), (n, d, p)
+        index = {h: i for i, h in enumerate(all_index_functions(n, d, p))}
+        live = lambda prefix: has_injective_projection(prefix, d)
+        for hs, moments in orthogonality._prefix_walk(fam, p, adjoint_first, live):
+            assert repr(moments.tolist()) == repr(want[[index[h] for h in hs]].tolist()), hs
+            pruned += len(hs)
+    # the injective h: 4! of (4, 1, 4), 9 * 8 of (3, 2, 2), none of (2, 2, 4)
+    assert pruned == 24 + 72
 
 
 def test_a_moment_table_of_another_family_p_or_adjoint_pattern_is_refused():

@@ -11,7 +11,9 @@ runs two fixed lists once: ``ORTHO_SPECS``, under the workload name
 ``ortho``, since no benchmark workload runs ``ortho``, yet its
 ``max_abs_violation`` is the number a change to the moment walk can move; and
 ``FACTORIZE_SPECS``, under ``factorize_all``, every partition tuple of shapes
-the benchmark's ``factorize`` workload does not reach.
+the benchmark's ``factorize`` workload does not reach; and ``DECOMPOSE_SPECS``,
+under ``decompose_dims``, moment tables at member sides and in runs the
+benchmark's ``decompose`` (side 3, one run) does not reach.
 Nothing under ``bench/`` is written.  Two reports match when their exit codes
 are equal and their JSON is equal outside ``params``, which holds each
 checkout's own file paths.  The tool prints how many reports differ and names
@@ -93,8 +95,20 @@ FACTORIZE_SPECS = [
     {"kind": "random_matrix", "n": 2, "d": 3, "p": 4, "dim": 1, "seed": 17},
 ]
 
+#: The ``decompose`` reports run besides the benchmark's: member sides below,
+#: at and above the 8 x 8 blocks of the traced last factor, and one shape whose
+#: 9^4 index functions at side 8 the walk splits into several runs.
+DECOMPOSE_SPECS = [
+    {"kind": "random_matrix", "n": 2, "d": 2, "p": 4, "dim": dim, "seed": 19}
+    for dim in (1, 2, 5, 8, 12, 16)
+] + [{"kind": "random_matrix", "n": 3, "d": 2, "p": 4, "dim": 8, "seed": 23}]
+
 #: The extra reports by workload name: the CLI command, and its specs.
-EXTRA_REPORTS = {"ortho": ("ortho", ORTHO_SPECS), "factorize_all": ("factorize", FACTORIZE_SPECS)}
+EXTRA_REPORTS = {
+    "ortho": ("ortho", ORTHO_SPECS),
+    "factorize_all": ("factorize", FACTORIZE_SPECS),
+    "decompose_dims": ("decompose", DECOMPOSE_SPECS),
+}
 
 #: Differences named in the printout.
 SHOWN = 5
