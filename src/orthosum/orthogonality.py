@@ -11,19 +11,20 @@ sums.
 This module owns index functions.  Every moment comes from one walk over the
 tree of h-prefixes, which forms each prefix product once and shares it with
 every h that extends it, a run of matrix products stacked as rows in one
-matmul per factor; the last product it only traces.  ``MomentTable``
-walks every h and ``is_p_orthogonal`` only the prefixes that still have an
-injective coordinate; each checks p and charges the n^(dp) index functions to
-the budget before it walks (``freegroup.is_p_dissociate`` does the same
-before it builds the unit monomials it hands to ``is_p_orthogonal``).
+matmul per factor; the last product it only traces, summing the diagonals of
+fewer than 4 entries across moments from +0, the bits of numpy's ``.sum(-1)``.
+``MomentTable`` walks every h and ``is_p_orthogonal`` only the prefixes that
+still have an injective coordinate; each checks p and charges the n^(dp) index
+functions to the budget before it walks (``freegroup.is_p_dissociate`` does
+the same before it builds the unit monomials it hands to ``is_p_orthogonal``).
 ``alternating_moment`` walks a single h.  The kernel labels of h, the
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
-``MomentTable``, once it has also charged the p products of each h (its
-walk's steps, and the rows of the label pool), reads them from a cached table
-of integer labels and an injective mask, and adds the moments in
-lexicographic order of h.  The refinements the Mobius weights enumerate are
-counted there too, and charged on every call; a second cache holds the Mobius
-weight product of each label.
+``MomentTable``, once it has also charged the p products of each h (its walk's
+steps, and the rows of the label pool), reads them from a cached table of
+integer labels and an injective mask, and adds the moments in lexicographic
+order of h.  The refinements the Mobius weights enumerate are counted there
+too, and charged on every call; a second cache holds the Mobius weight product
+of each label.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice, product
 from typing import Callable, Iterator, Sequence
 
@@ -135,6 +136,11 @@ def is_p_orthogonal(
     return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
 
 
+def _traces(diag: np.ndarray) -> np.ndarray:
+    """``diag.sum(-1)`` bit for bit: numpy adds under 8 doubles one at a time from +0."""
+    return diag.sum(-1) if diag.shape[-1] >= 4 else sum(np.moveaxis(diag, -1, 0), 0j)
+
+
 def _prefix_walk(
     f: OperatorFamily,
     p: int,
@@ -164,7 +170,7 @@ def _prefix_walk(
         entries = dim * dim
         # the prefix products stacked as rows: one matmul per factor
         mul = lambda acc, factor: (acc.reshape(-1, dim) @ factor).reshape(-1, dim, dim)
-        last = lambda acc, y: (product_diagonals(acc.reshape(-1, dim), y).sum(-1) / dim).ravel()
+        last = lambda acc, y: (_traces(product_diagonals(acc.reshape(-1, dim), y)) / dim).ravel()
     else:
         values = np.array(f.members, dtype=object)
         adj = np.frompyfunc(ga_adjoint, 1, 1)(values)
@@ -255,7 +261,7 @@ class MomentTable:
     * ``total``: the full moment sum (equal to the p-th power of the norm of
       the family sum);
     * ``injective_sum``: the sub-sum over h with an injective projection;
-    * ``phi_map``: kernel tuple -> sum of moments of the h with that kernel.
+    * ``phi_map`` (on first use): kernel tuple -> sum of the moments of that kernel.
 
     Every sum adds its moments one at a time in the lexicographic order of h.
     """
@@ -287,7 +293,11 @@ class MomentTable:
             lo = hi
         self.total = total
         self.injective_sum = injective_sum
-        self.phi_map = dict(zip(kernels, phi.tolist()))
+        self._kernels, self._label_sums = kernels, phi.tolist()
+
+    @cached_property
+    def phi_map(self) -> dict[tuple[SetPartition, ...], complex]:
+        return dict(zip(self._kernels, self._label_sums))
 
 
 def _table_for(
@@ -366,7 +376,7 @@ def mobius_decomposition_check(
     # charged on every call, before the weights are read, cached or not
     check_budget(_kernel_labels(f.n, f.d, p)[3], budget, "Mobius weight enumeration")
     weights = _label_weights(f.n, f.d, p)
-    noninjective = sum(map(operator.mul, weights, table.phi_map.values()), 0j)
+    noninjective = sum(map(operator.mul, weights, table._label_sums), 0j)
     rhs = table.injective_sum + (-1) ** f.d * noninjective
     return DecompositionReport(
         lhs=lhs,

@@ -119,7 +119,7 @@ def test_the_decompose_list_covers_member_sides_and_a_walk_in_several_runs(extra
 
     records = [r for r in extra_records if r["workload"] == "decompose_dims"]
     assert [r["spec"] for r in records] == compare_reports.DECOMPOSE_SPECS
-    assert [r["spec"]["dim"] for r in records] == [1, 2, 5, 8, 12, 16, 8]
+    assert [r["spec"]["dim"] for r in records] == [1, 2, 3, 4, 5, 8, 12, 16, 8]
     for r in records:
         report = json.loads(r["report"])
         assert (r["rc"], report["command"]) == (0, "decompose"), r["spec"]

@@ -1,6 +1,7 @@
 """Moments, kernel partitions, and the decomposition identity, with brute-force sums."""
 
 import math
+import operator
 import re
 from itertools import product
 from pathlib import Path
@@ -265,9 +266,15 @@ def test_decomposition_single_index_pair_is_exact():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_decomposition_random_matrix_family(seed):
+    from orthosum.orthogonality import _label_weights
+
     fam = random_family(2, 2, 3, seed=100 + seed)
     report = mobius_decomposition_check(fam, 4)
     assert report.abs_err <= 1e-9 * family_scale(fam, 4)
+    # the weights meet the label sums in the order of the public dict
+    table = MomentTable(fam, 4)
+    noninjective = sum(map(operator.mul, _label_weights(2, 2, 4), table.phi_map.values()), 0j)
+    assert repr(report.rhs) == repr(table.injective_sum + (-1) ** 2 * noninjective)
 
 
 def test_decomposition_free_generators_all_in_noninjective_part():
@@ -751,7 +758,8 @@ def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side, adjoi
 
 
 def trace_operands(r, side):
-    """Pairs (a, b) of side x side matrices: dense, with signed zeros, and kron-structured."""
+    """Pairs (a, b) of side x side matrices: dense, with signed zeros, and kron-structured
+    at even sides."""
     dense = lambda: rand_matrix(r, side)
     zeros = dense()
     zeros[r.random((side, side)) < 0.5] = complex(-0.0, 0.0)
@@ -763,11 +771,11 @@ def trace_operands(r, side):
     ]
     kron = lambda s: np.kron(rand_matrix(r, 2), np.diag(s))
     return [(dense(), dense()), (zeros, dense()), (zeros, -zeros), (negative_zero, dense())] + [
-        (kron(s), kron(t)) for s in signs for t in signs
+        (kron(s), kron(t)) for s in signs for t in signs if side % 2 == 0
     ]
 
 
-@pytest.mark.parametrize("side", [8, 16, 24, 40, 64, 72, 128, 136, 256])
+@pytest.mark.parametrize("side", [1, 2, 3, 4, 8, 16, 24, 40, 64, 72, 128, 136, 256])
 def test_traced_last_factor_is_bitwise_the_trace_of_the_full_product(side):
     """Each diagonal entry of a block product is the full product's, bit for bit.
 
@@ -780,3 +788,26 @@ def test_traced_last_factor_is_bitwise_the_trace_of_the_full_product(side):
         fam = OperatorFamily(2, 1, MATRIX, {(1,): a.conj().T, (2,): b})
         want = complex(np.trace(a @ b) / side)
         assert repr(alternating_moment(fam, ((1,), (2,)))) == repr(want)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 4])
+def test_traced_diagonals_are_summed_bitwise_as_numpy_sums_them(side):
+    """Below 4 entries the walk adds its diagonals across moments, from +0 in order.
+
+    numpy's pairwise sum adds fewer than 8 doubles one at a time from +0 and
+    unrolls from 8; a numpy that moves that threshold fails here by name.
+    """
+    from orthosum.orthogonality import _traces
+
+    r = rng(side)
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    specials = zeros + [complex(math.inf, 1.0), complex(-1.0, -math.inf), complex(math.nan, 0.0)]
+    dense = r.standard_normal((2, 1200, side)) * 10.0 ** r.integers(-8, 9, (2, 1200, side))
+    diag = dense[0] + 1j * dense[1]
+    # first every arrangement of the four signed zeros, then a fifth of the entries special
+    diag[: 4**side] = np.array(list(product(zeros, repeat=side)))
+    hit = r.random(diag.shape) < 0.2
+    hit[: 4**side] = False
+    diag[hit] = r.choice(specials, int(hit.sum()))
+    stacked = diag.reshape(3, 400, side)
+    assert _traces(stacked).tobytes() == stacked.sum(-1).tobytes()
