@@ -22,9 +22,10 @@ restricted growth strings of its d coordinates, depend on (n, d, p) only, so
 ``MomentTable``, once it has also charged the p products of each h (its walk's
 steps, and the rows of the label pool), reads them from a cached table of
 integer labels and an injective mask, and adds the moments in lexicographic
-order of h.  The refinements the Mobius weights enumerate are counted there
-too, and charged on every call; a second cache holds the Mobius weight product
-of each label.
+order of h.  The Mobius weight product of each label is read there too: it is
+0 when some coordinate of the label is injective and (-1)^d otherwise, since
+the sum of mu(0, sigma) over 0 < sigma <= eta is 0 at eta = 0 and -1 above
+(Rota's defining recursion of mu), so no refinement is enumerated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,16 +49,7 @@ from .algebra import (
 )
 from .errors import DEFAULT_BUDGET, check_budget, check_even_p
 from .freegroup import gamma_indices
-from .partitions import (
-    MAX_ENUMERATION_SIZE,
-    SetPartition,
-    kernel_code,
-    kernel_partition,
-    mobius,
-    refinement_count,
-    refinements,
-    refines,
-)
+from .partitions import SetPartition, kernel_code, kernel_partition, refines
 
 #: An index function: p multi-indices from [n]^d, 1-based.
 IndexFunction = tuple[tuple[int, ...], ...]
@@ -221,14 +213,14 @@ def _prefix_walk(
 @lru_cache(maxsize=4)
 def _kernel_labels(
     n: int, d: int, p: int
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[SetPartition, ...], ...], int]:
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[SetPartition, ...], ...], tuple[int, ...]]:
     """Kernel labels of every h: [p] -> [n]^d, in lexicographic order.
 
     Returns the label of each h (int32; labels number the distinct kernel
     tuples by first appearance), whether h has an injective projection, the
-    kernel tuple of each label and the refinements below its distinct parts
-    (0 past the enumeration ceiling, where the first weight, of {{1..p}}, is
-    refused at once).  The caller checks p and the budget.
+    kernel tuple of each label and its Mobius weight product: 0 when a
+    coordinate of the label is injective, else (-1)^d.  The caller checks p
+    and the budget.
     """
     count = n ** (d * p)
     ids: dict[tuple[tuple[int, ...], ...], int] = {}
@@ -240,12 +232,13 @@ def _kernel_labels(
         np.int32,
         count,
     )
-    injective = np.array([tuple(range(p)) in codes for codes in ids])[labels]
+    flags = [tuple(range(p)) in codes for codes in ids]
+    injective = np.array(flags)[labels]
     labels.flags.writeable = injective.flags.writeable = False
     # an RGS is its own kernel code, so each distinct code is built once
     parts = {c: kernel_partition(c) for c in {c for codes in ids for c in codes}}
-    charge = sum(map(refinement_count, parts.values())) if p <= MAX_ENUMERATION_SIZE else 0
-    return labels, injective, tuple(tuple(parts[c] for c in codes) for codes in ids), charge
+    kernels = tuple(tuple(parts[c] for c in codes) for codes in ids)
+    return labels, injective, kernels, tuple(0 if flag else (-1) ** d for flag in flags)
 
 
 def _running_sum(start: complex, values: np.ndarray) -> complex:
@@ -343,21 +336,6 @@ def psi(
     )
 
 
-def _mobius_weight(part: SetPartition) -> int:
-    """Sum of mu(0., sigma) over 0. < sigma <= part."""
-    zero = SetPartition.singletons(part.ground_size)
-    return sum(mobius(zero, sigma) for sigma in refinements(part) if sigma != zero)
-
-
-@lru_cache(maxsize=4)
-def _label_weights(n: int, d: int, p: int) -> tuple[int, ...]:
-    """The Mobius weight product of each kernel label, each distinct part weighed once."""
-    kernels = _kernel_labels(n, d, p)[2]
-    # in first appearance: {{1..p}}, of the constant h, first
-    weight = {part: _mobius_weight(part) for part in dict.fromkeys(chain(*kernels))}
-    return tuple(math.prod(map(weight.__getitem__, eta)) for eta in kernels)
-
-
 def mobius_decomposition_check(
     f: OperatorFamily,
     p: int,
@@ -369,13 +347,12 @@ def mobius_decomposition_check(
     The right-hand side is the injective-projection part plus
     (-1)^d * sum over partition tuples (all strictly above the singleton
     partition) of the Mobius weights times the dominated sums; the inner sums
-    are evaluated by grouping index functions by kernel tuple.
+    are evaluated by grouping index functions by kernel tuple, each weighed by
+    its label's weight product from ``_kernel_labels``.
     """
     table = MomentTable(f, p, budget, adjoint_first)
     lhs = table.total
-    # charged on every call, before the weights are read, cached or not
-    check_budget(_kernel_labels(f.n, f.d, p)[3], budget, "Mobius weight enumeration")
-    weights = _label_weights(f.n, f.d, p)
+    weights = _kernel_labels(f.n, f.d, p)[3]
     noninjective = sum(map(operator.mul, weights, table._label_sums), 0j)
     rhs = table.injective_sum + (-1) ** f.d * noninjective
     return DecompositionReport(

@@ -205,11 +205,6 @@ def bell(m: int) -> int:
     return b[m]
 
 
-def refinement_count(sigma: SetPartition) -> int:
-    """|[0., sigma]|, the product of Bell(|B|) over the blocks B of sigma."""
-    return math.prod(bell(len(b)) for b in sigma.blocks)
-
-
 def refinements(sigma: SetPartition) -> list[SetPartition]:
     """All rho <= sigma, built blockwise (the interval [0., sigma])."""
     per_block = [

@@ -441,7 +441,6 @@ def test_sublemma_out_of_double_range_exits_2_fast(capsys, p, D):
     [
         ("factorize", {"n": 1, "d": 2, "p": 4}),
         ("factorize", {"n": 1, "d": 3, "p": 6}),
-        ("decompose", {"n": 1, "d": 1, "p": 10}),
     ],
 )
 def test_partition_sweeps_are_budgeted(tmp_path, capsys, command, shape):
@@ -450,6 +449,34 @@ def test_partition_sweeps_are_budgeted(tmp_path, capsys, command, shape):
     assert code == 2
     assert out == ""
     assert "size limit" in err
+
+
+@pytest.mark.parametrize(
+    "shape,budget",
+    [
+        # 10 index-function products, with Bell(10) refinements below {{1..10}}
+        ({"n": 1, "d": 1, "p": 10}, "100"),
+        # past p = 12, the ceiling of partition enumeration
+        ({"n": 2, "d": 1, "p": 14}, "10000000"),
+    ],
+)
+def test_decompose_enumerates_no_refinement(tmp_path, capsys, shape, budget):
+    spec = spec_file(tmp_path, kind="random_matrix", dim=1, seed=5, **shape)
+    code, out, err = run(capsys, "decompose", "--spec", spec, "--budget", budget)
+    assert (code, err) == (0, "")
+    (assertion,) = json.loads(out)["assertions"]
+    assert assertion["name"] == "decomposition_identity" and assertion["ok"] is True
+
+
+@pytest.mark.parametrize("budget", [15, 63])
+def test_decompose_below_its_index_function_products_exits_2(tmp_path, capsys, budget):
+    # n^(dp) = 16 index functions and p n^(dp) = 64 products at n = 2, d = 1, p = 4
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=1, p=4, dim=2, seed=5)
+    code, out, err = run(capsys, "decompose", "--spec", spec, "--budget", str(budget))
+    assert (code, out) == (2, "")
+    assert err.startswith("size limit: index-function")
+    code, _, _ = run(capsys, "decompose", "--spec", spec, "--budget", "64")
+    assert code == 0
 
 
 def test_factorize_charges_the_factor_terms_to_the_budget(tmp_path, capsys):

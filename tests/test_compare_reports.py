@@ -114,17 +114,20 @@ def test_the_factorize_list_checks_every_partition_tuple(extra_records):
     assert differences(records, records) == []
 
 
-def test_the_decompose_list_covers_member_sides_and_a_walk_in_several_runs(extra_records):
+def test_the_decompose_list_covers_member_sides_runs_and_odd_d(extra_records):
     from orthosum.orthogonality import _BLOCK
 
     records = [r for r in extra_records if r["workload"] == "decompose_dims"]
     assert [r["spec"] for r in records] == compare_reports.DECOMPOSE_SPECS
-    assert [r["spec"]["dim"] for r in records] == [1, 2, 3, 4, 5, 8, 12, 16, 8]
+    assert [r["spec"]["dim"] for r in records] == [1, 2, 3, 4, 5, 8, 12, 16, 8, 3, 2]
     for r in records:
         report = json.loads(r["report"])
         assert (r["rc"], report["command"]) == (0, "decompose"), r["spec"]
         assert all(a["ok"] for a in report["assertions"]), r["spec"]
-    # the last shape's moment table holds more entries than one run
-    spec = records[-1]["spec"]
+    # the ninth shape's moment table holds more entries than one run
+    spec = records[8]["spec"]
     assert spec["n"] ** (spec["d"] * spec["p"]) * spec["dim"] ** 2 > _BLOCK
+    # odd d, where the non-injective labels weigh -1: one coordinate at p = 8, three at p = 4
+    shapes = [(r["spec"]["n"], r["spec"]["d"], r["spec"]["p"]) for r in records]
+    assert [shape for shape in shapes if shape[1] % 2] == [(2, 1, 8), (2, 3, 4)]
     assert differences(records, records) == []

@@ -31,6 +31,7 @@ from orthosum.orthogonality import (
 )
 from orthosum.partitions import SetPartition, all_partitions, refines
 
+from mobius_oracle import enumerated_label_weight, enumerated_weight
 from moment_oracle import per_pair_moments, reference_moment
 
 
@@ -266,14 +267,15 @@ def test_decomposition_single_index_pair_is_exact():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_decomposition_random_matrix_family(seed):
-    from orthosum.orthogonality import _label_weights
+    from orthosum.orthogonality import _kernel_labels
 
     fam = random_family(2, 2, 3, seed=100 + seed)
     report = mobius_decomposition_check(fam, 4)
     assert report.abs_err <= 1e-9 * family_scale(fam, 4)
     # the weights meet the label sums in the order of the public dict
     table = MomentTable(fam, 4)
-    noninjective = sum(map(operator.mul, _label_weights(2, 2, 4), table.phi_map.values()), 0j)
+    weights = _kernel_labels(2, 2, 4)[3]
+    noninjective = sum(map(operator.mul, weights, table.phi_map.values()), 0j)
     assert repr(report.rhs) == repr(table.injective_sum + (-1) ** 2 * noninjective)
 
 
@@ -481,57 +483,36 @@ def test_families_of_one_shape_share_labels_but_not_results():
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_cached_mobius_weight_equals_a_fresh_sum(m):
-    from orthosum.orthogonality import _mobius_weight
-    from orthosum.partitions import mobius, refinements
-
+def test_enumerated_mobius_weight_is_minus_one_above_the_singletons(m):
+    # the sum of mu(0, sigma) over 0 <= sigma <= eta is 1 at eta = 0 and 0 above (Rota)
     zero = SetPartition.singletons(m)
     for eta in all_partitions(m):
-        fresh = sum(mobius(zero, s) for s in refinements(eta) if s != zero)
-        assert _mobius_weight(eta) == fresh == (0 if eta == zero else -1), eta
+        assert enumerated_weight(eta) == (0 if eta == zero else -1), eta
 
 
-def test_cached_mobius_weights_are_still_charged_to_the_budget():
-    fam = random_family(1, 1, 1, seed=53)
-    mobius_decomposition_check(fam, 6)  # every weight of this shape is cached now
-    with pytest.raises(SizeLimitError, match="Mobius weight"):
-        mobius_decomposition_check(fam, 6, budget=100)
+@pytest.mark.parametrize(
+    "n, d, p",
+    [(1, 1, 6), (2, 1, 6), (3, 1, 6), (2, 2, 4), (3, 2, 2), (2, 1, 8), (2, 3, 4), (4, 1, 4)],
+)
+def test_label_weights_are_the_enumerated_weights_of_each_kernel_tuple(n, d, p):
+    from orthosum.orthogonality import _kernel_labels
 
-
-@pytest.mark.parametrize("n, d, p", [(1, 1, 6), (2, 1, 6), (3, 1, 6), (2, 2, 4), (3, 2, 2)])
-def test_label_weights_and_charge_are_those_of_each_kernel_tuple(n, d, p):
-    from orthosum.orthogonality import _kernel_labels, _label_weights, _mobius_weight
-    from orthosum.partitions import refinement_count
-
-    _, _, kernels, charge = _kernel_labels(n, d, p)
-    weights = _label_weights(n, d, p)
+    labels, injective, kernels, weights = _kernel_labels(n, d, p)
     assert len(weights) == len(kernels)
     for eta, weight in zip(kernels, weights):
-        assert weight == math.prod(map(_mobius_weight, eta)), eta
-    assert charge == sum(map(refinement_count, {part for eta in kernels for part in eta}))
+        assert type(weight) is int and weight == enumerated_label_weight(eta), eta
+    # a label weighs 0 exactly when its index functions have an injective projection,
+    # which some have once n >= p
+    assert set(weights) == ({0, (-1) ** d} if n >= p else {(-1) ** d})
+    assert [weights[label] == 0 for label in labels] == injective.tolist()
 
 
-def test_a_cold_weight_cache_is_charged_before_any_weight_is_computed(monkeypatch):
-    from orthosum import orthogonality
-
-    calls = []
-    weight = orthogonality._mobius_weight
-    monkeypatch.setattr(orthogonality, "_mobius_weight", lambda part: calls.append(part) or weight(part))
-    orthogonality._label_weights.cache_clear()
-    fam = random_family(1, 1, 1, seed=56)
-    # one index function, but Bell(6) = 203 refinements below {{1..6}}
-    with pytest.raises(SizeLimitError, match="Mobius weight enumeration needs 203 items"):
-        mobius_decomposition_check(fam, 6, budget=100)
-    assert calls == []
-    mobius_decomposition_check(fam, 6, budget=203)
-    assert calls == [SetPartition.one_block(6)]
-
-
-def test_past_the_enumeration_ceiling_a_table_builds_and_the_mobius_check_refuses():
-    fam = random_family(1, 1, 1, seed=57)
-    assert MomentTable(fam, 14).count == 1
-    with pytest.raises(SizeLimitError, match="supports 1 <= m <= 12, got 14"):
-        mobius_decomposition_check(fam, 14, budget=10**12)
+def test_past_the_old_enumeration_ceiling_the_mobius_check_reports():
+    # Bell(14) refinements below {{1..14}}: the weights are read, not enumerated
+    fam = random_family(2, 1, 3, seed=57)
+    report = mobius_decomposition_check(fam, 14)
+    assert report.injective_sum == 0  # n < p: no coordinate is injective
+    assert report.abs_err <= 1e-8 * family_scale(fam, 14)
 
 
 def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):

@@ -22,7 +22,6 @@ from orthosum.partitions import (
     mobius,
     mobius_recursive,
     parse_partition,
-    refinement_count,
     refinements,
     refines,
     verify_mobius_identities,
@@ -268,12 +267,6 @@ def test_bell_matches_enumeration(m):
 def test_bell_size_limit():
     with pytest.raises(SizeLimitError):
         bell(13)
-
-
-@pytest.mark.parametrize("m", [1, 3, 5])
-def test_refinement_count_matches_refinements(m):
-    for sigma in all_partitions(m):
-        assert refinement_count(sigma) == len(refinements(sigma))
 
 
 def _partition_reference(ground_size, blocks):

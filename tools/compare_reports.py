@@ -12,8 +12,9 @@ runs three fixed lists once: ``ORTHO_SPECS``, under the workload name
 ``max_abs_violation`` is the number a change to the moment walk can move; and
 ``FACTORIZE_SPECS``, under ``factorize_all``, every partition tuple of shapes
 the benchmark's ``factorize`` workload does not reach; and ``DECOMPOSE_SPECS``,
-under ``decompose_dims``, moment tables at member sides and in runs the
-benchmark's ``decompose`` (p = 6 at side 3, one run) does not reach.
+under ``decompose_dims``, moment tables at member sides, in runs and at odd d
+the benchmark's ``decompose`` (d = 2, p = 6 at side 3, one run) does not
+reach.
 Nothing under ``bench/`` is written.  Two reports match when their exit codes
 are equal and their JSON is equal outside ``params``, which holds each
 checkout's own file paths.  The tool prints how many reports differ and names
@@ -98,12 +99,16 @@ FACTORIZE_SPECS = [
 #: The ``decompose`` reports run besides the benchmark's: member sides below,
 #: at and above the 8 x 8 blocks of the traced last factor, on both sides of
 #: side 4, where the traced diagonals stop being summed in whole-array adds,
-#: and one shape whose 9^4 index functions at side 8 the walk splits into
-#: several runs.
+#: one shape whose 9^4 index functions at side 8 the walk splits into
+#: several runs, and two of odd d, where the non-injective labels weigh -1.
 DECOMPOSE_SPECS = [
     {"kind": "random_matrix", "n": 2, "d": 2, "p": 4, "dim": dim, "seed": 19}
     for dim in (1, 2, 3, 4, 5, 8, 12, 16)
-] + [{"kind": "random_matrix", "n": 3, "d": 2, "p": 4, "dim": 8, "seed": 23}]
+] + [
+    {"kind": "random_matrix", "n": 3, "d": 2, "p": 4, "dim": 8, "seed": 23},
+    {"kind": "random_matrix", "n": 2, "d": 1, "p": 8, "dim": 3, "seed": 29},
+    {"kind": "random_matrix", "n": 2, "d": 3, "p": 4, "dim": 2, "seed": 31},
+]
 
 #: The extra reports by workload name: the CLI command, and its specs.
 EXTRA_REPORTS = {
