@@ -44,7 +44,6 @@ from .errors import (
     SizeLimitError,
 )
 from .factorization import (
-    BlockAnatomy,
     build_factors,
     factor_norm_report,
     factorization_check,

@@ -658,15 +658,15 @@ def family_from_json(obj: Mapping) -> OperatorFamily:
         raise ValueError("the values of a family must be an object")
     n, d = json_int(obj["n"], "n"), json_int(obj["d"], "d")
     values: dict[tuple[int, ...], Any] = {}
-    kind = None
+    kind = first = None
     for key, payload in obj["values"].items():
         gamma = tuple(int(part) for part in key.split(","))
-        if "terms" in json_object(payload, (), f"family value {key!r}"):
-            kind = GROUP_ALGEBRA
-            values[gamma] = ga_from_json(payload)
-        else:
-            kind = MATRIX
-            values[gamma] = matrix_from_json(payload)
+        payload = json_object(payload, (), f"family value {key!r}")
+        this = GROUP_ALGEBRA if "terms" in payload else MATRIX
+        kind, first = (this, key) if kind is None else (kind, first)
+        if this != kind:
+            raise ValueError(f"family values {first!r} and {key!r} mix kinds {kind} and {this}")
+        values[gamma] = (ga_from_json if this == GROUP_ALGEBRA else matrix_from_json)(payload)
     if kind is None:
         raise ValueError("family with no values")
     return OperatorFamily(n=n, d=d, kind=kind, values=values)

@@ -97,7 +97,7 @@ def _load_family(args: argparse.Namespace) -> tuple[FamilySpec, OperatorFamily]:
 
 
 def _cmd_mobius(args) -> tuple[dict, list[dict], int | None]:
-    report = verify_mobius_identities(args.m)
+    report = verify_mobius_identities(args.m, args.budget)
     results = {
         "abs_sum": report.abs_sum,
         "m_factorial": math.factorial(args.m),

@@ -75,56 +75,6 @@ def xi_family(m: int, n: int) -> list[Callable[[int], GroupAlgebraElement]]:
     return [make(r) for r in range(1, m + 1)]
 
 
-@dataclass(frozen=True)
-class BlockAnatomy:
-    """Per-position block data of a partition tuple.
-
-    For each coordinate k and position s: ``block_index[k][s-1]`` is the
-    0-based block of sigma_k containing s and ``block_rank[k][s-1]`` the
-    1-based rank of s inside that block.  ``q[s-1]`` counts the coordinates
-    where s is a singleton, and ``b_sets[q]`` lists the positions with that
-    count; ``b_sets[d]`` holds the common singletons.
-    """
-
-    sigmas: tuple[SetPartition, ...]
-    p: int
-    block_index: tuple[tuple[int, ...], ...]
-    block_rank: tuple[tuple[int, ...], ...]
-    q: tuple[int, ...]
-    b_sets: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_sigmas(cls, sigmas: Sequence[SetPartition]) -> "BlockAnatomy":
-        sigmas = tuple(sigmas)
-        if not sigmas:
-            raise ValueError("need at least one partition")
-        p = sigmas[0].ground_size
-        if any(s.ground_size != p for s in sigmas):
-            raise ValueError("partitions must share a ground size")
-        d = len(sigmas)
-        block_index = tuple(sigma.rgs for sigma in sigmas)
-        # the rank of s is the number of positions up to s in its block
-        block_rank = tuple(
-            tuple(code[: s + 1].count(j) for s, j in enumerate(code))
-            for code in block_index
-        )
-        # s is a singleton of sigma_k when its label occurs once in the code
-        q = tuple(sum(c.count(c[s]) == 1 for c in block_index) for s in range(p))
-        b_sets = tuple(
-            tuple(s for s in range(1, p + 1) if q[s - 1] == level)
-            for level in range(d + 1)
-        )
-        return cls(sigmas, p, block_index, block_rank, q, b_sets)
-
-    @property
-    def d(self) -> int:
-        return len(self.sigmas)
-
-    @property
-    def common_singletons(self) -> tuple[int, ...]:
-        return self.b_sets[self.d]
-
-
 def build_factors(
     f: OperatorFamily,
     sigmas: Sequence[SetPartition],
@@ -225,21 +175,22 @@ def factor_norm_report(
 
     Factors at common-singleton positions must match the norm of the family
     sum exactly; the product of all factor norms must dominate the absolute
-    value of the factored sum.  The block anatomy and the factors are built
-    once, and the report carries the :func:`factorization_check` of the same
-    factors.
+    value of the factored sum.  ``q`` of position s counts the coordinates
+    where s is a singleton; the common singletons are the positions with
+    q = d.  The factors are built once, and the report carries the
+    :func:`factorization_check` of the same factors.
     """
     factors = build_factors(f, sigmas, p, budget)
-    anatomy = BlockAnatomy.from_sigmas(sigmas)
     check = _factorization_report(psi(f, sigmas, p, budget, table), factors)
     records = []
     norms_product = 1.0
     for s, factor in enumerate(factors, start=1):
         norm = ga_even_norm(factor, p, budget)
-        records.append(FactorRecord(s=s, q=anatomy.q[s - 1], norm=norm))
+        q = sum(s in sigma.singleton_elements() for sigma in sigmas)
+        records.append(FactorRecord(s=s, q=q, norm=norm))
         norms_product *= norm
     sum_norm = schatten_even_norm(f.sum_value(), p)
-    errs = (abs(records[s - 1].norm - sum_norm) for s in anatomy.common_singletons)
+    errs = (abs(r.norm - sum_norm) for r in records if r.q == len(sigmas))
     bd_rel = max(errs, default=0.0) / max(sum_norm, 1e-300)
     psi_abs = abs(check.psi_factored)
     holder_ok = bool(psi_abs <= norms_product * (1.0 + 1e-9) + 1e-12)

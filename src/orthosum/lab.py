@@ -199,7 +199,9 @@ def make_family(spec: FamilySpec, budget: int = DEFAULT_BUDGET) -> OperatorFamil
         report = is_p_dissociate(words, spec.p, budget)
         if not report.ok:
             raise ConstructionError(
-                f"word family is not {spec.p}-dissociate", witness=report.witness
+                f"word family is not {spec.p}-dissociate: the alternating product along"
+                f" index function {report.witness} is the identity",
+                witness=report.witness,
             )
         group_n = max(1, *(w.max_generator for w in words.words.values()))
         values = {

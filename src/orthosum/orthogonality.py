@@ -1,12 +1,10 @@
 """Index-function combinatorics and the Mobius decomposition of moment sums.
 
 An index function h maps positions 1..p to the grid [n]^d.  Its alternating
-moment is the trace of f(h1)* f(h2) f(h3)* ... f(hp); the adjoint pattern can
-be flipped with ``adjoint_first=False``, which has no effect on any of the
-identities checked here.  Kernel partitions group positions with equal k-th
-coordinate, and the decomposition identity rewrites the full moment sum as the
-injective-projection part plus a signed Mobius combination of the dominated
-sums.
+moment is the trace of f(h1)* f(h2) f(h3)* ... f(hp).  Kernel partitions group
+positions with equal k-th coordinate, and the decomposition identity rewrites
+the full moment sum as the injective-projection part plus a signed Mobius
+combination of the dominated sums.
 
 This module owns index functions.  Every moment comes from one walk over the
 tree of h-prefixes, which forms each prefix product once and shares it with
@@ -15,7 +13,8 @@ matmul per factor; the last product it only traces, summing the diagonals of
 fewer than 4 entries across moments from +0, the bits of numpy's ``.sum(-1)``.
 ``MomentTable`` walks every h and ``is_p_orthogonal`` only the prefixes that
 still have an injective coordinate; each checks p and charges the n^(dp) index
-functions to the budget before it walks (``freegroup.is_p_dissociate`` does
+functions, and the (largest member term count)^p words a group-algebra product
+can grow to, to the budget before it walks (``freegroup.is_p_dissociate`` does
 the same before it builds the unit monomials it hands to ``is_p_orthogonal``).
 ``alternating_moment`` walks a single h.  The kernel labels of h, the
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
@@ -88,12 +87,12 @@ def has_injective_projection(h: Sequence[tuple[int, ...]], d: int) -> bool:
     return tuple(range(len(h))) in map(kernel_code, islice(zip(*h), d))
 
 
-def alternating_moment(
-    f: OperatorFamily, h: Sequence[Sequence[int]], adjoint_first: bool = True
-) -> complex:
+def alternating_moment(f: OperatorFamily, h: Sequence[Sequence[int]]) -> complex:
     """Trace of the alternating adjoint product f(h1)* f(h2) ... f(hp).
 
     h holds a positive even number of multi-indices, each d entries in [1, n].
+    The other pattern, tr(f(h1) f(h2)* ... f(hp)*), is the conjugate of this
+    moment at (h1, hp, h(p-1), ..., h2).
     """
     h = tuple(tuple(g) if isinstance(g, Sequence) else g for g in h)
     if not h or len(h) % 2:
@@ -101,24 +100,19 @@ def alternating_moment(
     span = range(1, f.n + 1)
     if not all(isinstance(g, tuple) and len(g) == f.d and all(i in span for i in g) for g in h):
         raise ValueError(f"index function h = {h} leaves [n]^d = [{f.n}]^{f.d}")
-    ((_, moments),) = _prefix_walk(f, len(h), adjoint_first, lambda pre: pre == h[: len(pre)])
+    ((_, moments),) = _prefix_walk(f, len(h), lambda pre: pre == h[: len(pre)])
     return complex(moments[0])
 
 
 def is_p_orthogonal(
-    f: OperatorFamily,
-    p: int,
-    tol: float,
-    budget: int = DEFAULT_BUDGET,
-    adjoint_first: bool = True,
+    f: OperatorFamily, p: int, tol: float, budget: int = DEFAULT_BUDGET
 ) -> MomentReport:
     """Largest alternating moment over index functions with an injective projection."""
-    check_even_p(p)
-    check_budget(f.n, budget, "index-function enumeration", f.d * p)
+    _check_walk(f, p, budget)
     # a coordinate injective on [p] is injective on every prefix: the pruning is exact
     live = lambda prefix: f.n >= p and has_injective_projection(prefix, f.d)
     worst, worst_abs, count = None, 0.0, 0
-    for hs, moments in _prefix_walk(f, p, adjoint_first, live):
+    for hs, moments in _prefix_walk(f, p, live):
         count += len(hs)
         for h, moment in zip(hs, moments.tolist()):
             if abs(moment) > worst_abs:
@@ -128,16 +122,21 @@ def is_p_orthogonal(
     return MomentReport(max_abs_violation=worst_abs, worst_h=worst, count_checked=count)
 
 
+def _check_walk(f: OperatorFamily, p: int, budget: int) -> None:
+    """Check p; charge the n^(dp) index functions and the words a product can grow to."""
+    check_even_p(p)
+    check_budget(f.n, budget, "index-function enumeration", f.d * p)
+    terms = 1 if f.kind == MATRIX else max(v.term_count for v in f.members)
+    check_budget(max(terms, 1), budget, "moment word expansion", p)
+
+
 def _traces(diag: np.ndarray) -> np.ndarray:
     """``diag.sum(-1)`` bit for bit: numpy adds under 8 doubles one at a time from +0."""
     return diag.sum(-1) if diag.shape[-1] >= 4 else sum(np.moveaxis(diag, -1, 0), 0j)
 
 
 def _prefix_walk(
-    f: OperatorFamily,
-    p: int,
-    adjoint_first: bool,
-    keep: Callable[[IndexFunction], bool] | None = None,
+    f: OperatorFamily, p: int, keep: Callable[[IndexFunction], bool] | None = None
 ) -> Iterator[tuple[list[IndexFunction] | None, np.ndarray]]:
     """Runs of alternating moments of f, lexicographic in h, each with its h.
 
@@ -173,7 +172,7 @@ def _prefix_walk(
         paired = np.frompyfunc(ga_product_trace, 2, 1).outer
         last = lambda acc, factor: paired(acc, factor).T.ravel().astype(complex)
     # the factor at 0-based position s is factors[s % 2]
-    factors = (adj, values) if adjoint_first else (values, adj)
+    factors = (adj, values)
 
     def runs() -> Iterator:
         # depth first over (product of prefix as a stack of one or None, prefix); not
@@ -259,26 +258,18 @@ class MomentTable:
     Every sum adds its moments one at a time in the lexicographic order of h.
     """
 
-    def __init__(
-        self,
-        f: OperatorFamily,
-        p: int,
-        budget: int = DEFAULT_BUDGET,
-        adjoint_first: bool = True,
-    ):
-        check_even_p(p)
-        check_budget(f.n, budget, "index-function enumeration", f.d * p)
+    def __init__(self, f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET):
+        _check_walk(f, p, budget)
         self.count = f.n ** (f.d * p)
         check_budget(self.count * p, budget, "index-function products")
         self.family = f
         self.p = p
-        self.adjoint_first = adjoint_first
 
         labels, injective, kernels, _ = _kernel_labels(f.n, f.d, p)
         total = injective_sum = 0j
         phi = np.zeros(len(kernels), dtype=complex)
         lo = 0
-        for _, block in _prefix_walk(f, p, adjoint_first):
+        for _, block in _prefix_walk(f, p):
             hi = lo + len(block)
             total = _running_sum(total, block)
             injective_sum = _running_sum(injective_sum, block[injective[lo:hi]])
@@ -300,14 +291,14 @@ def _table_for(
     budget: int,
     table: MomentTable | None,
 ) -> MomentTable:
-    """Check a partition tuple and a given table (this family's, at p, adjoint first)."""
+    """Check a partition tuple and a given table (this family's, at p)."""
     if len(entries) != f.d:
         raise ValueError(f"expected {f.d} partitions, got {len(entries)}")
     for sigma in entries:
         if sigma.ground_size != p:
             raise ValueError(f"partition ground size {sigma.ground_size} != {p}")
-    if table is not None and (table.family is not f or table.p != p or not table.adjoint_first):
-        raise ValueError(f"the moment table is not this family's at p = {p}, adjoint first")
+    if table is not None and (table.family is not f or table.p != p):
+        raise ValueError(f"the moment table is not this family's at p = {p}")
     return MomentTable(f, p, budget) if table is None else table
 
 
@@ -337,10 +328,7 @@ def psi(
 
 
 def mobius_decomposition_check(
-    f: OperatorFamily,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    adjoint_first: bool = True,
+    f: OperatorFamily, p: int, budget: int = DEFAULT_BUDGET
 ) -> DecompositionReport:
     """Compare the full moment sum against its injective + Mobius resummation.
 
@@ -350,7 +338,7 @@ def mobius_decomposition_check(
     are evaluated by grouping index functions by kernel tuple, each weighed by
     its label's weight product from ``_kernel_labels``.
     """
-    table = MomentTable(f, p, budget, adjoint_first)
+    table = MomentTable(f, p, budget)
     lhs = table.total
     weights = _kernel_labels(f.n, f.d, p)[3]
     noninjective = sum(map(operator.mul, weights, table._label_sums), 0j)

@@ -50,10 +50,10 @@ def per_pair_traces(acc, factor):
     return np.diagonal(blocks, 0, -2, -1).reshape(-1, dim).sum(-1) / dim
 
 
-def per_pair_moments(f, p, adjoint_first=True):
+def per_pair_moments(f, p):
     """Every alternating moment of a matrix family, lexicographic in h, by per-pair products."""
     adj = f.members.conj().swapaxes(1, 2).copy()
-    factors = (adj, f.members) if adjoint_first else (f.members, adj)
+    factors = (adj, f.members)
     acc = factors[0]
     for s in range(1, p - 1):
         acc = per_pair_products(acc, factors[s % 2])

@@ -525,6 +525,17 @@ def test_ga_and_family_json_roundtrip():
     assert ga_even_norm(gfam2.sum_value(), 2) == pytest.approx(np.sqrt(2))
 
 
+@pytest.mark.parametrize("element_first", [False, True])
+def test_a_family_of_mixed_kinds_is_refused_by_name(element_first):
+    matrix = {"dim": 1, "entries": [[1.0, 0.0]]}
+    element = {"arity": 1, "n": 1, "terms": [{"words": ["g1"], "coeff": matrix}]}
+    values = {"1": element, "2": matrix} if element_first else {"1": matrix, "2": element}
+    kinds = (GROUP_ALGEBRA, MATRIX) if element_first else (MATRIX, GROUP_ALGEBRA)
+    match = f"family values '1' and '2' mix kinds {kinds[0]} and {kinds[1]}"
+    with pytest.raises(ValueError, match=match):
+        family_from_json({"n": 2, "d": 1, "values": values})
+
+
 def full_expansion_identity_coeff(x, p):
     """Identity coefficient of (x* x)^(p/2), expanded in full by repeated products."""
     gram = ga_multiply(ga_adjoint(x), x)

@@ -10,8 +10,6 @@ import time
 import pytest
 
 from orthosum.cli import main
-from orthosum.lab import FamilySpec, make_family
-from orthosum.orthogonality import is_p_orthogonal
 
 
 def run(capsys, *argv):
@@ -40,6 +38,12 @@ def test_mobius_size_limit_exits_2(capsys):
     code, out, err = run(capsys, "mobius", "--m", "11")
     assert code == 2
     assert "size limit" in err
+
+
+def test_mobius_honours_the_budget(capsys):
+    code, out, err = run(capsys, "mobius", "--m", "6", "--budget", "100")
+    assert (code, out) == (2, "")
+    assert err == "size limit: refinement pairs needs 2471 items, exceeding the budget of 100\n"
 
 
 def test_dissociate_canonical(capsys):
@@ -85,9 +89,32 @@ def test_ortho_keeps_the_exact_zeros_of_a_martingale_family(tmp_path, capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert (results["max_abs_violation"], results["count_checked"]) == (0.0, 120)
-    # the CLI takes the adjoint first; the other order multiplies other products
-    report = is_p_orthogonal(make_family(FamilySpec(**fields)), 4, 0.0, adjoint_first=False)
-    assert (report.max_abs_violation, report.count_checked) == (0.0, 120)
+
+
+@pytest.mark.parametrize("element_first", [False, True])
+def test_a_family_file_of_mixed_kinds_exits_2_with_one_error_line(tmp_path, capsys, element_first):
+    matrix = {"dim": 1, "entries": [[1.0, 0.0]]}
+    element = {"arity": 1, "n": 1, "terms": [{"words": ["g1"], "coeff": matrix}]}
+    values = {"1": element, "2": matrix} if element_first else {"1": matrix, "2": element}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 2, "d": 1, "values": values}))
+    spec = spec_file(tmp_path, kind="file", n=2, d=1, p=2, path=str(path))
+    code, out, err = run(capsys, "ortho", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "mix kinds" in err
+
+
+def test_a_failed_dissociate_construction_names_its_witness(tmp_path, capsys):
+    words = tmp_path / "words.json"
+    words.write_text(json.dumps({"1": "g1", "2": "g1"}))
+    spec = spec_file(tmp_path, kind="dissociate", n=2, d=1, p=2, path=str(words))
+    code, out, err = run(capsys, "inequality", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: word family is not 2-dissociate: the alternating product along"
+        " index function ((1,), (2,)) is the identity\n"
+    )
 
 
 def test_ortho_seed_override(tmp_path, capsys):

@@ -77,8 +77,8 @@ def family_file(draw):
     keys = [",".join(map(str, g)) for g in oracle.grid(n, d)]
     if draw(st.integers(0, 2)) == 2:
         keys = draw(st.lists(st.one_of(grid_key, bad_key), max_size=3))
-    value = draw(st.one_of(matrix(), element()))
-    return mutated(draw, {"n": n, "d": d, "values": {k: value for k in keys}}, dict.fromkeys(["n", "d"], bad_value))
+    values = {k: draw(st.one_of(matrix(), element())) for k in keys}
+    return mutated(draw, {"n": n, "d": d, "values": values}, dict.fromkeys(["n", "d"], bad_value))
 
 
 word_file = st.one_of(
@@ -301,6 +301,19 @@ def pinned(cases):
           {**PLAIN_FILES, "family.json": {"n": 1, "d": 1, "values": {
               "1": {"dim": 1, "entries": [[6.6906999803886e30, 0.0]]}}},
            "spec.json": {"kind": "file", "path": "family.json", "p": 10}}))
+# a family file of matrix and group-algebra values, in both orders (once a traceback)
+@example((["ortho", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "family.json": {"n": 2, "d": 1, "values": {
+              "1": {"dim": 1, "entries": [[1.0, 0.0]]},
+              "2": {"arity": 1, "n": 2, "terms": [{"words": ["g1"], "coeff": {
+                  "dim": 1, "entries": [[1.0, 0.0]]}}]}}},
+           "spec.json": {"kind": "file", "path": "family.json", "p": 2}}))
+@example((["ortho", "--spec", "spec.json", "--budget", "1000"],
+          {**PLAIN_FILES, "family.json": {"n": 2, "d": 1, "values": {
+              "1": {"arity": 1, "n": 2, "terms": [{"words": ["g1"], "coeff": {
+                  "dim": 1, "entries": [[1.0, 0.0]]}}]},
+              "2": {"dim": 1, "entries": [[1.0, 0.0]]}}},
+           "spec.json": {"kind": "file", "path": "family.json", "p": 2}}))
 # valid random_matrix reports against the oracle
 @example((["inequality", "--spec", "spec.json", "--budget", "3000"],
           {**PLAIN_FILES, "spec.json": random_matrix_spec(2, 2, 4)}))

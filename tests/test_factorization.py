@@ -16,7 +16,6 @@ from orthosum.algebra import (
 )
 from orthosum.errors import KindError, SizeLimitError
 from orthosum.factorization import (
-    BlockAnatomy,
     FactorRecord,
     build_factors,
     factor_norm_report,
@@ -83,24 +82,24 @@ def test_xi_family_requires_m_at_least_two():
         xi_family(3, 0)
 
 
-def test_block_anatomy():
+def common_singletons(sigmas):
+    """The positions that are singletons of every partition, ascending."""
+    return tuple(sorted(set.intersection(*(set(s.singleton_elements()) for s in sigmas))))
+
+
+def test_factor_records_count_the_singleton_coordinates():
+    fam = random_family(2, 2, 2, seed=5)
     sig1 = SetPartition.from_blocks([[1, 2], [3], [4]])
     sig2 = SetPartition.from_blocks([[1], [2, 3, 4]])
-    anatomy = BlockAnatomy.from_sigmas((sig1, sig2))
-    assert anatomy.p == 4 and anatomy.d == 2
-    assert sum(len(b) for b in anatomy.b_sets) == 4
-    # position 1: block {1,2} of sig1 (rank 1), singleton {1} of sig2
-    assert anatomy.block_rank[0][0] == 1
-    assert anatomy.q[0] == 1
-    # position 3: singleton of sig1, middle of {2,3,4} in sig2
-    assert anatomy.q[2] == 1
-    assert anatomy.block_rank[1][2] == 2
-    # common singletons: none here
-    assert anatomy.common_singletons == ()
-    both = BlockAnatomy.from_sigmas(
-        (SetPartition.from_blocks([[1, 2], [3]]), SetPartition.from_blocks([[1, 2], [3]]))
-    )
-    assert both.common_singletons == (3,)
+    records = factor_norm_report(fam, (sig1, sig2), 4).records
+    assert [r.s for r in records] == [1, 2, 3, 4]
+    # position 1: block {1,2} of sig1, singleton {1} of sig2; position 3:
+    # singleton of sig1, middle of {2,3,4} in sig2; no common singleton
+    assert [r.q for r in records] == [1, 0, 1, 1]
+    assert common_singletons((sig1, sig2)) == ()
+    both = (SetPartition.from_blocks([[1, 2, 4], [3]]),) * 2
+    records = factor_norm_report(fam, both, 4).records
+    assert [r.s for r in records if r.q == 2] == [3] == list(common_singletons(both))
 
 
 def test_build_factors_single_index_pair():
@@ -121,8 +120,7 @@ def test_build_factors_all_top_blocks_use_single_generator_words():
     fam = random_family(2, 2, 2, seed=2)
     sig = (SetPartition.one_block(4), SetPartition.one_block(4))
     factors = build_factors(fam, sig, 4)
-    anatomy = BlockAnatomy.from_sigmas(sig)
-    assert all(q == 0 for q in anatomy.q)
+    assert all(len(sigma.singleton_elements()) == 0 for sigma in sig)
     for factor in factors:
         for wt in factor.terms:
             assert all(len(w) <= 2 for w in wt.words)
@@ -133,8 +131,7 @@ def test_build_factors_common_singletons_have_trivial_group_part():
     fam = random_family(2, 1, 2, seed=3)
     sig = (SetPartition.from_blocks([[1, 2], [3], [4]]),)
     factors = build_factors(fam, sig, 4)
-    anatomy = BlockAnatomy.from_sigmas(sig)
-    assert anatomy.common_singletons == (3, 4)
+    assert common_singletons(sig) == (3, 4)
     identity = WordTuple.identity(factors[2].arity)
     for s in (3, 4):
         assert list(factors[s - 1].terms) == [identity]
@@ -194,8 +191,7 @@ def test_factor_norms_common_singleton_equality_and_holder():
         SetPartition.from_blocks([[1, 2], [3], [4]]),
     )
     report = factor_norm_report(fam, sig, 4)
-    anatomy = BlockAnatomy.from_sigmas(sig)
-    assert anatomy.common_singletons == (3, 4)
+    assert common_singletons(sig) == (3, 4)
     assert report.bd_max_rel_err <= 1e-10
     assert report.sum_norm == pytest.approx(
         schatten_even_norm(fam.sum_value(), 4)
@@ -204,7 +200,8 @@ def test_factor_norms_common_singleton_equality_and_holder():
     assert report.psi_abs <= report.norms_product * (1 + 1e-9) + 1e-12
     assert all(isinstance(r, FactorRecord) for r in report.records)
     qs = [r.q for r in report.records]
-    assert qs == list(anatomy.q)
+    assert qs == [0, 0, 2, 2]
+    assert tuple(r.s for r in report.records if r.q == 2) == common_singletons(sig)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -227,33 +224,6 @@ def test_factor_norm_report_carries_factorization_check():
         carried = factor_norm_report(fam, sig, 4, table=table).check
         assert carried == factorization_check(fam, sig, 4, table=table)
         assert carried.psi_direct == psi(fam, sig, 4, table=table)
-
-
-def test_block_anatomy_reads_the_partition_codes():
-    parts = all_partitions(4)
-    for sigmas in product(parts, repeat=2):
-        anatomy = BlockAnatomy.from_sigmas(sigmas)
-        for k, sigma in enumerate(sigmas):
-            assert anatomy.block_index[k] == sigma.rgs
-            for block in sigma.blocks:
-                for r, s in enumerate(block, start=1):
-                    assert anatomy.block_rank[k][s - 1] == r
-
-
-def test_factor_norm_report_builds_the_block_anatomy_once(monkeypatch):
-    fam = random_family(2, 2, 2, seed=8)
-    table = MomentTable(fam, 4)
-    built = []
-    original = BlockAnatomy.from_sigmas
-
-    def counting(cls, sigmas):
-        built.append(tuple(sigmas))
-        return original(sigmas)
-
-    monkeypatch.setattr(BlockAnatomy, "from_sigmas", classmethod(counting))
-    sig = (SetPartition.from_blocks([[1, 2], [3], [4]]), SetPartition.one_block(4))
-    factor_norm_report(fam, sig, 4, table=table)
-    assert built == [sig]
 
 
 def test_factor_construction_is_budgeted():
@@ -385,10 +355,3 @@ def test_build_factors_refuses_a_partition_tuple_of_another_shape(sigmas, shape)
         build_factors(fam, sigmas, 4)
     with pytest.raises(ValueError, match=match):
         factor_norm_report(fam, sigmas, 4)
-
-
-def test_block_anatomy_refuses_an_empty_or_uneven_tuple():
-    with pytest.raises(ValueError, match="need at least one partition"):
-        BlockAnatomy.from_sigmas(())
-    with pytest.raises(ValueError, match="must share a ground size"):
-        BlockAnatomy.from_sigmas((SetPartition.one_block(4), SetPartition.one_block(2)))

@@ -84,7 +84,8 @@ def test_dissociate_family_rejects_bad_words(tmp_path):
     spec = FamilySpec("dissociate", n=2, d=1, p=2, seed=0, path=str(path))
     with pytest.raises(ConstructionError) as err:
         make_family(spec)
-    assert err.value.witness is not None
+    assert err.value.witness == ((1,), (2,))
+    assert f"index function {err.value.witness}" in str(err.value)
 
 
 def test_family_spec_validation_and_roundtrip():

@@ -15,6 +15,7 @@ from orthosum.algebra import (
     GroupAlgebraElement,
     OperatorFamily,
     family_scale,
+    word_sum,
 )
 from orthosum.errors import SizeLimitError
 from orthosum.freegroup import Word, WordTuple, gamma_indices
@@ -118,16 +119,6 @@ def test_phi_and_psi_refuse_a_partition_tuple_of_another_shape():
             fn(fam, [SetPartition.one_block(2)], 4)
 
 
-def test_alternating_moment_flip_order():
-    fam = random_family(2, 1, 2, seed=3)
-    h = ((1,), (2,))
-    a = alternating_moment(fam, h, adjoint_first=True)
-    b = alternating_moment(fam, h, adjoint_first=False)
-    v1, v2 = fam.values[(1,)], fam.values[(2,)]
-    assert a == pytest.approx(np.trace(v1.conj().T @ v2) / 2)
-    assert b == pytest.approx(np.trace(v1 @ v2.conj().T) / 2)
-
-
 def test_sigma_of_examples():
     h = ((1, 1), (1, 1), (2, 1), (2, 2))
     assert sigma_of(h, 1) == SetPartition.from_blocks([[1, 2], [3, 4]])
@@ -165,6 +156,20 @@ def test_is_p_orthogonal_budget():
     fam = random_family(2, 2, 2, seed=1)
     with pytest.raises(SizeLimitError):
         is_p_orthogonal(fam, 4, 1e-9, budget=10)
+
+
+def test_the_walk_charges_the_words_its_products_grow_to():
+    # one member: the 12 single letters g_i^(+-1) of F_6
+    words = [Word(((i, e),)) for i in range(1, 7) for e in (1, -1)]
+    fam = OperatorFamily(1, 1, GROUP_ALGEBRA, {(1,): word_sum(6, words, [np.eye(1)] * 12)})
+    assert fam.members[0].term_count == 12
+    # one index function of six products fits; its 12^6 words do not
+    for walk in (MomentTable, lambda f, p, budget: is_p_orthogonal(f, p, 0.0, budget)):
+        with pytest.raises(SizeLimitError, match=r"moment word expansion needs 12\^6 items"):
+            walk(fam, 6, budget=10)
+        with pytest.raises(SizeLimitError, match="moment word expansion needs 144 items"):
+            walk(fam, 2, budget=143)
+        walk(fam, 2, budget=144)
 
 
 def brute_force_phi(fam, eta, p):
@@ -287,12 +292,6 @@ def test_decomposition_free_generators_all_in_noninjective_part():
     assert report.lhs == pytest.approx(report.rhs)
 
 
-def test_decomposition_flip_order_also_holds():
-    fam = random_family(2, 2, 2, seed=55)
-    report = mobius_decomposition_check(fam, 4, adjoint_first=False)
-    assert report.abs_err <= 1e-9 * family_scale(fam, 4)
-
-
 def test_moment_table_counts():
     fam = random_family(2, 2, 2, seed=13)
     table = MomentTable(fam, 4)
@@ -354,14 +353,23 @@ def test_has_injective_projection_is_defined_once():
     assert not imported & {"partitions", "algebra", "orthogonality"}
 
 
-@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
-def test_alternating_moment_matches_reference(kind, adjoint_first):
+def test_alternating_moment_matches_reference(kind):
     fam = MOMENT_FAMILIES[kind]()
     for h in all_index_functions(fam.n, fam.d, 4):
-        got = alternating_moment(fam, h, adjoint_first)
-        want = reference_moment(fam, h, adjoint_first)
+        got = alternating_moment(fam, h)
+        want = reference_moment(fam, h)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), h
+
+
+@pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
+def test_a_flipped_moment_is_the_conjugate_moment_at_the_reversed_tail(kind):
+    """tr(f(h1) f(h2)* ... f(hp)*) = conj tr(f(h1)* f(hp) f(h(p-1))* ... f(h2))."""
+    fam = MOMENT_FAMILIES[kind]()
+    for h in all_index_functions(fam.n, fam.d, 4):
+        flipped = reference_moment(fam, h, adjoint_first=False)
+        got = alternating_moment(fam, h[:1] + h[:0:-1]).conjugate()
+        assert abs(got - flipped) <= 1e-12 * abs(flipped), h
 
 
 @pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
@@ -393,12 +401,12 @@ def test_nan_coefficient_is_rejected_not_passed():
         OperatorFamily(4, 1, MATRIX, with_nan)
 
 
-def sequential_table(fam, p, adjoint_first):
+def sequential_table(fam, p):
     """total, injective sum and phi map, adding reference moments one by one."""
     total = injective = 0j
     by_kernel = {}
     for h in all_index_functions(fam.n, fam.d, p):
-        m = reference_moment(fam, h, adjoint_first)
+        m = reference_moment(fam, h)
         total += m
         if has_injective_projection(h, fam.d):
             injective += m
@@ -419,12 +427,11 @@ ORACLE_FAMILIES = [
 
 
 @pytest.mark.parametrize("n,d,p", [(2, 2, 4), (2, 1, 6)])
-@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("kind,dim", ORACLE_FAMILIES)
-def test_batched_moment_table_matches_sequential_reference(kind, dim, adjoint_first, n, d, p):
+def test_batched_moment_table_matches_sequential_reference(kind, dim, n, d, p):
     fam = make_family(FamilySpec(kind, n=n, d=d, p=p, dim=dim, seed=31 + dim))
-    table = MomentTable(fam, p, adjoint_first=adjoint_first)
-    total, injective, by_kernel = sequential_table(fam, p, adjoint_first)
+    table = MomentTable(fam, p)
+    total, injective, by_kernel = sequential_table(fam, p)
 
     def close(got, want):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -452,7 +459,7 @@ def test_moment_table_in_many_blocks_equals_one_block(monkeypatch, make, block):
     fam = make()
     whole = MomentTable(fam, 4)
     monkeypatch.setattr(orthogonality, "_BLOCK", block)
-    runs = [len(run) for _, run in orthogonality._prefix_walk(fam, 4, True)]
+    runs = [len(run) for _, run in orthogonality._prefix_walk(fam, 4)]
     assert len(runs) > 1 and sum(runs) == 4**4
     # a run's products hold at most `block` entries, or it is one prefix's K completions
     entries = fam.coeff_dim**2 if fam.kind == MATRIX else 1
@@ -472,7 +479,7 @@ def test_families_of_one_shape_share_labels_but_not_results():
     assert (info.misses, info.hits) == (1, 1)
     assert tables[0].total != tables[1].total
     for fam, table in zip((first, second), tables):
-        total, injective, by_kernel = sequential_table(fam, 4, True)
+        total, injective, by_kernel = sequential_table(fam, 4)
         assert abs(table.total - total) <= 1e-12 * abs(total)
         assert abs(table.injective_sum - injective) <= 1e-12 * abs(injective)
         assert table.phi_map.keys() == by_kernel.keys()
@@ -522,15 +529,14 @@ def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
     calls = []
     original = orthogonality._prefix_walk
 
-    def spy(f, p, adjoint_first, keep=None):
+    def spy(f, p, keep=None):
         if keep is not None:  # grows selected prefixes one at a time
             calls.append(f.kind)
-        return original(f, p, adjoint_first, keep)
+        return original(f, p, keep)
 
     monkeypatch.setattr(orthogonality, "_prefix_walk", spy)
     free = make_family(FamilySpec("free_generators", n=2, d=1, p=4))
-    for adjoint_first in (True, False):
-        MomentTable(random_family(2, 2, 3, seed=54), 6, adjoint_first=adjoint_first)
+    MomentTable(random_family(2, 2, 3, seed=54), 6)
     mobius_decomposition_check(random_family(2, 1, 2, seed=55), 4)
     MomentTable(free, 4)
     assert calls == []
@@ -538,13 +544,13 @@ def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
     assert calls == [GROUP_ALGEBRA]
 
 
-def scan_injective(fam, p, adjoint_first):
+def scan_injective(fam, p):
     """Largest |reference moment| over the injective h, its first h and their count."""
     worst, worst_abs, count = None, 0.0, 0
     for h in all_index_functions(fam.n, fam.d, p):
         if has_injective_projection(h, fam.d):
             count += 1
-            val = abs(reference_moment(fam, h, adjoint_first))
+            val = abs(reference_moment(fam, h))
             if val > worst_abs:
                 worst, worst_abs = h, val
     return worst_abs, worst, count
@@ -569,16 +575,15 @@ WALK_FAMILIES.update(
 WALK_SHAPES = [(3, 1, 2), (4, 1, 4), (2, 2, 2), (2, 1, 4), (2, 2, 4)]
 
 
-@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize(
     "kind,n,d,p",
     [(kind, *shape) for kind in sorted(WALK_FAMILIES) for shape in WALK_SHAPES]
     + [("multi_term", 2, 1, 2), ("multi_term", 2, 1, 4)],
 )
-def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p, adjoint_first):
+def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p):
     fam = multi_term_family(25) if kind == "multi_term" else WALK_FAMILIES[kind](n, d, p)
-    report = is_p_orthogonal(fam, p, -1.0, adjoint_first=adjoint_first)
-    worst_abs, worst, count = scan_injective(fam, p, adjoint_first)
+    report = is_p_orthogonal(fam, p, -1.0)
+    worst_abs, worst, count = scan_injective(fam, p)
     assert report.count_checked == count
     assert report.worst_h == worst
     assert report.max_abs_violation == worst_abs
@@ -672,12 +677,9 @@ def test_a_non_finite_moment_inside_a_run_is_named_by_its_own_h():
         is_p_orthogonal(fam, 2, 1.0)
 
 
-@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("small_block", [False, True])
-@pytest.mark.parametrize("side", [1, 2, 3, 5, 8, 12, 16, 24])
-def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(
-    monkeypatch, side, small_block, adjoint_first
-):
+@pytest.mark.parametrize("side", [1, 2, 3, 5, 8, 12, 16, 24, 64])
+def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(monkeypatch, side, small_block):
     """The walk's moments are those of one BLAS call per (prefix, factor) pair, bit for bit.
 
     A BLAS whose row-stacked product sums a row otherwise than the per-pair
@@ -691,19 +693,19 @@ def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(
         k = n**d
         if small_block:  # runs of two positions, and single prefixes above them
             monkeypatch.setattr(orthogonality, "_BLOCK", k * k * side * side)
-        want = per_pair_moments(fam, p, adjoint_first)
-        got = np.concatenate([m for _, m in orthogonality._prefix_walk(fam, p, adjoint_first)])
+        want = per_pair_moments(fam, p)
+        got = np.concatenate([m for _, m in orthogonality._prefix_walk(fam, p)])
         assert repr(got.tolist()) == repr(want.tolist()), (n, d, p)
         index = {h: i for i, h in enumerate(all_index_functions(n, d, p))}
         live = lambda prefix: has_injective_projection(prefix, d)
-        for hs, moments in orthogonality._prefix_walk(fam, p, adjoint_first, live):
+        for hs, moments in orthogonality._prefix_walk(fam, p, live):
             assert repr(moments.tolist()) == repr(want[[index[h] for h in hs]].tolist()), hs
             pruned += len(hs)
     # the injective h: 4! of (4, 1, 4), 9 * 8 of (3, 2, 2), none of (2, 2, 4)
     assert pruned == 24 + 72
 
 
-def test_a_moment_table_of_another_family_p_or_adjoint_pattern_is_refused():
+def test_a_moment_table_of_another_family_or_p_is_refused():
     f1, f2 = (
         make_family(FamilySpec("random_matrix", n=2, d=1, p=4, dim=2, seed=s)) for s in (1, 2)
     )
@@ -711,23 +713,22 @@ def test_a_moment_table_of_another_family_p_or_adjoint_pattern_is_refused():
     assert psi(f2, sig, 4).real == pytest.approx(104.06, abs=0.01)
     assert psi(f1, sig, 4).real == pytest.approx(62.77, abs=0.01)
     assert psi(f2, sig, 4, table=MomentTable(f2, 4)) == psi(f2, sig, 4)
-    for table in (MomentTable(f1, 4), MomentTable(f2, 6), MomentTable(f2, 4, adjoint_first=False)):
+    for table in (MomentTable(f1, 4), MomentTable(f2, 6)):
         with pytest.raises(ValueError, match="moment table"):
             psi(f2, sig, 4, table=table)
         with pytest.raises(ValueError, match="moment table"):
             phi(f2, sig, 4, table=table)
 
 
-@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("side", [16, 24])
 @pytest.mark.parametrize("n,d,p", [(2, 2, 2), (4, 1, 4)])
-def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side, adjoint_first):
+def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side):
     fam = random_family(n, d, side, seed=70 + side)
-    table = MomentTable(fam, p, adjoint_first=adjoint_first)
+    table = MomentTable(fam, p)
     total = injective_sum = 0j
     phi_map = {}
     for h in all_index_functions(n, d, p):
-        moment = reference_moment(fam, h, adjoint_first)
+        moment = reference_moment(fam, h)
         total += moment
         if has_injective_projection(h, d):
             injective_sum += moment

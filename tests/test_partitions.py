@@ -14,6 +14,7 @@ from orthosum.errors import SizeLimitError
 from orthosum.partitions import (
     SetPartition,
     _from_rgs,
+    _refinement_pairs,
     all_partitions,
     bell,
     format_partition,
@@ -196,6 +197,19 @@ def test_mobius_identities_m1_vacuous():
 def test_mobius_identities_size_limit():
     with pytest.raises(SizeLimitError):
         verify_mobius_identities(10)
+
+
+def test_the_identity_sweep_charges_its_refinement_pairs():
+    # counted against the pairs an enumeration finds
+    for m in range(1, 7):
+        assert _refinement_pairs(m) == sum(len(refinements(s)) for s in all_partitions(m))
+    assert (_refinement_pairs(9), _refinement_pairs(10)) == (1_606_137, 16_733_779)
+    with pytest.raises(SizeLimitError, match="refinement pairs needs 2471 items"):
+        verify_mobius_identities(6, budget=2470)
+    assert verify_mobius_identities(6, budget=2471).interval_sums_ok
+    # the enumeration ceiling is checked before any pair is counted
+    with pytest.raises(SizeLimitError, match="1 <= m <= 12, got 1099511627776"):
+        verify_mobius_identities(2**40)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
