@@ -9,11 +9,25 @@ The per-pair walk multiplies a matrix family's prefix products by each factor
 one pair at a time, ``acc[:, None] @ factor[None, :]``, and traces the last
 product from its diagonal blocks: the BLAS calls whose bits the row-stacked
 walk of :mod:`orthosum.orthogonality` must reproduce.
+
+The other moment pattern, f(h1) f(h2)* ... f(hp)*, is the one pattern of the
+adjoint family f*: (f(h)*)* is f(h) bit for bit, so the library answers the
+flipped reference of f by its walk over :func:`adjoint_family`.
 """
 
 import numpy as np
 
-from orthosum.algebra import MATRIX, ga_adjoint, ga_multiply, ga_trace, ntrace
+from orthosum.algebra import MATRIX, OperatorFamily, ga_adjoint, ga_multiply, ga_trace, ntrace
+
+
+def adjoint_family(f):
+    """The family h -> f(h)* of the same kind and index set."""
+    return OperatorFamily(
+        f.n,
+        f.d,
+        f.kind,
+        {g: v.conj().T if f.kind == MATRIX else ga_adjoint(v) for g, v in f.values.items()},
+    )
 
 
 def reference_moment(f, h, adjoint_first=True) -> complex:
@@ -50,10 +64,10 @@ def per_pair_traces(acc, factor):
     return np.diagonal(blocks, 0, -2, -1).reshape(-1, dim).sum(-1) / dim
 
 
-def per_pair_moments(f, p):
+def per_pair_moments(f, p, adjoint_first=True):
     """Every alternating moment of a matrix family, lexicographic in h, by per-pair products."""
     adj = f.members.conj().swapaxes(1, 2).copy()
-    factors = (adj, f.members)
+    factors = (adj, f.members) if adjoint_first else (f.members, adj)
     acc = factors[0]
     for s in range(1, p - 1):
         acc = per_pair_products(acc, factors[s % 2])

@@ -33,7 +33,7 @@ from orthosum.orthogonality import (
 from orthosum.partitions import SetPartition, all_partitions, refines
 
 from mobius_oracle import enumerated_label_weight, enumerated_weight
-from moment_oracle import per_pair_moments, reference_moment
+from moment_oracle import adjoint_family, per_pair_moments, reference_moment
 
 
 def rng(seed=0):
@@ -53,6 +53,11 @@ def random_family(n, d, dim, seed):
 
 def all_index_functions(n, d, p):
     return product(gamma_indices(n, d), repeat=p)
+
+
+def walked(fam, adjoint_first):
+    """The family whose one moment pattern is fam's pattern with or without the adjoint first."""
+    return fam if adjoint_first else adjoint_family(fam)
 
 
 def delta_of(h):
@@ -353,12 +358,13 @@ def test_has_injective_projection_is_defined_once():
     assert not imported & {"partitions", "algebra", "orthogonality"}
 
 
+@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("kind", sorted(MOMENT_FAMILIES))
-def test_alternating_moment_matches_reference(kind):
+def test_alternating_moment_matches_reference(kind, adjoint_first):
     fam = MOMENT_FAMILIES[kind]()
     for h in all_index_functions(fam.n, fam.d, 4):
-        got = alternating_moment(fam, h)
-        want = reference_moment(fam, h)
+        got = alternating_moment(walked(fam, adjoint_first), h)
+        want = reference_moment(fam, h, adjoint_first)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), h
 
 
@@ -401,12 +407,12 @@ def test_nan_coefficient_is_rejected_not_passed():
         OperatorFamily(4, 1, MATRIX, with_nan)
 
 
-def sequential_table(fam, p):
+def sequential_table(fam, p, adjoint_first=True):
     """total, injective sum and phi map, adding reference moments one by one."""
     total = injective = 0j
     by_kernel = {}
     for h in all_index_functions(fam.n, fam.d, p):
-        m = reference_moment(fam, h)
+        m = reference_moment(fam, h, adjoint_first)
         total += m
         if has_injective_projection(h, fam.d):
             injective += m
@@ -427,11 +433,12 @@ ORACLE_FAMILIES = [
 
 
 @pytest.mark.parametrize("n,d,p", [(2, 2, 4), (2, 1, 6)])
+@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("kind,dim", ORACLE_FAMILIES)
-def test_batched_moment_table_matches_sequential_reference(kind, dim, n, d, p):
+def test_batched_moment_table_matches_sequential_reference(kind, dim, adjoint_first, n, d, p):
     fam = make_family(FamilySpec(kind, n=n, d=d, p=p, dim=dim, seed=31 + dim))
-    table = MomentTable(fam, p)
-    total, injective, by_kernel = sequential_table(fam, p)
+    table = MomentTable(walked(fam, adjoint_first), p)
+    total, injective, by_kernel = sequential_table(fam, p, adjoint_first)
 
     def close(got, want):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -536,7 +543,8 @@ def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
 
     monkeypatch.setattr(orthogonality, "_prefix_walk", spy)
     free = make_family(FamilySpec("free_generators", n=2, d=1, p=4))
-    MomentTable(random_family(2, 2, 3, seed=54), 6)
+    for adjoint_first in (True, False):
+        MomentTable(walked(random_family(2, 2, 3, seed=54), adjoint_first), 6)
     mobius_decomposition_check(random_family(2, 1, 2, seed=55), 4)
     MomentTable(free, 4)
     assert calls == []
@@ -544,13 +552,13 @@ def test_matrix_moment_table_never_evaluates_one_h_at_a_time(monkeypatch):
     assert calls == [GROUP_ALGEBRA]
 
 
-def scan_injective(fam, p):
+def scan_injective(fam, p, adjoint_first=True):
     """Largest |reference moment| over the injective h, its first h and their count."""
     worst, worst_abs, count = None, 0.0, 0
     for h in all_index_functions(fam.n, fam.d, p):
         if has_injective_projection(h, fam.d):
             count += 1
-            val = abs(reference_moment(fam, h))
+            val = abs(reference_moment(fam, h, adjoint_first))
             if val > worst_abs:
                 worst, worst_abs = h, val
     return worst_abs, worst, count
@@ -575,15 +583,16 @@ WALK_FAMILIES.update(
 WALK_SHAPES = [(3, 1, 2), (4, 1, 4), (2, 2, 2), (2, 1, 4), (2, 2, 4)]
 
 
+@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize(
     "kind,n,d,p",
     [(kind, *shape) for kind in sorted(WALK_FAMILIES) for shape in WALK_SHAPES]
     + [("multi_term", 2, 1, 2), ("multi_term", 2, 1, 4)],
 )
-def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p):
+def test_is_p_orthogonal_equals_a_brute_force_reference_scan(kind, n, d, p, adjoint_first):
     fam = multi_term_family(25) if kind == "multi_term" else WALK_FAMILIES[kind](n, d, p)
-    report = is_p_orthogonal(fam, p, -1.0)
-    worst_abs, worst, count = scan_injective(fam, p)
+    report = is_p_orthogonal(walked(fam, adjoint_first), p, -1.0)
+    worst_abs, worst, count = scan_injective(fam, p, adjoint_first)
     assert report.count_checked == count
     assert report.worst_h == worst
     assert report.max_abs_violation == worst_abs
@@ -677,9 +686,12 @@ def test_a_non_finite_moment_inside_a_run_is_named_by_its_own_h():
         is_p_orthogonal(fam, 2, 1.0)
 
 
+@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("small_block", [False, True])
 @pytest.mark.parametrize("side", [1, 2, 3, 5, 8, 12, 16, 24, 64])
-def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(monkeypatch, side, small_block):
+def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(
+    monkeypatch, side, small_block, adjoint_first
+):
     """The walk's moments are those of one BLAS call per (prefix, factor) pair, bit for bit.
 
     A BLAS whose row-stacked product sums a row otherwise than the per-pair
@@ -693,7 +705,8 @@ def test_row_stacked_walk_keeps_the_bits_of_per_pair_products(monkeypatch, side,
         k = n**d
         if small_block:  # runs of two positions, and single prefixes above them
             monkeypatch.setattr(orthogonality, "_BLOCK", k * k * side * side)
-        want = per_pair_moments(fam, p)
+        want = per_pair_moments(fam, p, adjoint_first)
+        fam = walked(fam, adjoint_first)
         got = np.concatenate([m for _, m in orthogonality._prefix_walk(fam, p)])
         assert repr(got.tolist()) == repr(want.tolist()), (n, d, p)
         index = {h: i for i, h in enumerate(all_index_functions(n, d, p))}
@@ -720,15 +733,16 @@ def test_a_moment_table_of_another_family_or_p_is_refused():
             phi(f2, sig, 4, table=table)
 
 
+@pytest.mark.parametrize("adjoint_first", [True, False])
 @pytest.mark.parametrize("side", [16, 24])
 @pytest.mark.parametrize("n,d,p", [(2, 2, 2), (4, 1, 4)])
-def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side):
+def test_dense_moment_table_equals_a_straight_reference_sum(n, d, p, side, adjoint_first):
     fam = random_family(n, d, side, seed=70 + side)
-    table = MomentTable(fam, p)
+    table = MomentTable(walked(fam, adjoint_first), p)
     total = injective_sum = 0j
     phi_map = {}
     for h in all_index_functions(n, d, p):
-        moment = reference_moment(fam, h)
+        moment = reference_moment(fam, h, adjoint_first)
         total += moment
         if has_injective_projection(h, d):
             injective_sum += moment
