@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DEFAULT_BUDGET, KindError, check_budget, check_even_p
 from .errors import json_int, json_object
 from .freegroup import Word, WordTuple, check_grid, code_inverse, code_multiply
-from .freegroup import format_word, gamma_indices, letter_code, parse_word
+from .freegroup import gamma_indices, letter_code, parse_word
 
 #: A tracial matrix is a square complex ndarray with trace functional Tr/N.
 TracialMatrix = np.ndarray
@@ -259,10 +259,6 @@ class GroupAlgebraElement:
         return cls(arity, n, tuple(coeff_shape), tuple(unique[i] for i in order), stack)
 
     @classmethod
-    def zero(cls, arity: int, n: int, coeff_shape: tuple[int, int]) -> "GroupAlgebraElement":
-        return cls.build(arity, n, coeff_shape, {})
-
-    @classmethod
     def monomial(
         cls, arity: int, n: int, word_tuple: WordTuple, coeff
     ) -> "GroupAlgebraElement":
@@ -284,9 +280,6 @@ class GroupAlgebraElement:
     def term_count(self) -> int:
         return len(self.keys)
 
-    def sorted_terms(self) -> list[tuple[WordTuple, np.ndarray]]:
-        return list(zip(self.terms, self.coeffs))
-
     def coefficient(self, word_tuple: WordTuple) -> np.ndarray:
         got = self.terms.get(word_tuple)
         return np.zeros(self.coeff_shape, dtype=complex) if got is None else got
@@ -298,9 +291,6 @@ class GroupAlgebraElement:
             self.arity, self.n, self.coeff_shape, self.keys + other.keys, stack
         )
 
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar) -> "GroupAlgebraElement":
         return self.from_codes(
             self.arity, self.n, self.coeff_shape, self.keys, scalar * self.coeffs
@@ -308,9 +298,6 @@ class GroupAlgebraElement:
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return ga_multiply(self, other)
-
-    def adjoint(self) -> "GroupAlgebraElement":
-        return ga_adjoint(self)
 
     def _check_compatible(self, other: "GroupAlgebraElement") -> None:
         if (self.arity, self.n) != (other.arity, other.n):
@@ -586,14 +573,6 @@ def ga_flatten(f: OperatorFamily, split: SplitPair) -> GroupAlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def matrix_to_json(x) -> dict:
-    arr = as_tracial_matrix(x)
-    return {
-        "dim": arr.shape[0],
-        "entries": [[float(z.real), float(z.imag)] for z in arr.ravel()],
-    }
-
-
 def _is_number_pair(entry) -> bool:
     return isinstance(entry, list) and len(entry) == 2 and {*map(type, entry)} <= {int, float}
 
@@ -609,20 +588,6 @@ def matrix_from_json(obj: Mapping) -> np.ndarray:
         raise ValueError("every matrix entry must be a [re, im] pair of numbers")
     flat = [complex(re, im) for re, im in entries]
     return np.array(flat, dtype=complex).reshape(dim, dim)
-
-
-def ga_to_json(x: GroupAlgebraElement) -> dict:
-    return {
-        "arity": x.arity,
-        "n": x.n,
-        "terms": [
-            {
-                "words": [format_word(w) for w in wt.words],
-                "coeff": matrix_to_json(c),
-            }
-            for wt, c in x.sorted_terms()
-        ],
-    }
 
 
 def ga_from_json(obj: Mapping) -> GroupAlgebraElement:
@@ -644,12 +609,6 @@ def ga_from_json(obj: Mapping) -> GroupAlgebraElement:
     if shape is None:
         raise ValueError("group-algebra element with no terms")
     return GroupAlgebraElement.build(arity, n, shape, terms)
-
-
-def family_to_json(f: OperatorFamily) -> dict:
-    to_json = matrix_to_json if f.kind == MATRIX else ga_to_json
-    values = {",".join(map(str, g)): to_json(v) for g, v in zip(f.gammas(), f.members)}
-    return {"n": f.n, "d": f.d, "values": values}
 
 
 def family_from_json(obj: Mapping) -> OperatorFamily:

@@ -11,9 +11,13 @@ a word is the tuple of its letter codes and a word tuple the tuple of its
 words.  The code preserves order ((g, e) < (g', e') exactly when their codes
 compare so), hence sorting coded word tuples sorts them as :class:`WordTuple`
 does; the inverse of a letter is ``c ^ 1`` and free reduction cancels a code
-against a neighbour ``c ^ 1``.  :class:`Word` and :class:`WordTuple` exist
-only at the boundary, the types that words are parsed into and formatted
-from; no element the package builds goes through them.
+against a neighbour ``c ^ 1``.  :class:`Word` and :class:`WordTuple` are the
+types words are parsed into and formatted from; their operators and
+:func:`word_multiply`/:func:`inverse` go through the codes too
+(:func:`code_multiply`, :func:`code_inverse`), and :meth:`Word.reduce` is one
+stack pass over the codes, so words have one arithmetic.  The reduction on
+(generator, exponent) letters lives on only as the test oracle
+``tests/word_oracle.py``.
 """
 
 from __future__ import annotations
@@ -47,18 +51,17 @@ class Word:
 
     @classmethod
     def reduce(cls, letters: Iterable[tuple[int, int]]) -> "Word":
-        """Freely reduce an arbitrary letter sequence (stack-based)."""
-        out: list[tuple[int, int]] = []
+        """Check each letter, then freely reduce in one stack pass over the codes."""
+        out: list[int] = []
         for g, e in letters:
-            if out and out[-1][0] == g and out[-1][1] == -e:
+            if g < 1 or e not in (-1, 1):
+                raise ValueError(f"bad letter {(g, e)}")
+            c = letter_code(g, e)
+            if out and out[-1] == c ^ 1:
                 out.pop()
             else:
-                out.append((g, e))
-        return cls(tuple(out))
-
-    @classmethod
-    def generator(cls, i: int, exponent: int = 1) -> "Word":
-        return cls(((i, exponent),))
+                out.append(c)
+        return cls.from_codes(out)
 
     @classmethod
     def from_codes(cls, codes: Iterable[int]) -> "Word":
@@ -91,12 +94,12 @@ class Word:
 
 def word_multiply(a: Word, b: Word) -> Word:
     """Reduced concatenation; associative, with word_multiply(a, inverse(a)) = e."""
-    return Word.reduce(a.letters + b.letters)
+    return Word.from_codes(code_multiply(a.codes, b.codes))
 
 
 def inverse(a: Word) -> Word:
     """Letters reversed with flipped exponents."""
-    return Word(tuple((g, -e) for g, e in reversed(a.letters)))
+    return Word.from_codes(code_inverse(a.codes))
 
 
 def letter_code(g: int, e: int = 1) -> int:
@@ -151,10 +154,10 @@ class WordTuple:
     def __mul__(self, other: "WordTuple") -> "WordTuple":
         if len(self.words) != len(other.words):
             raise ValueError("arity mismatch")
-        return WordTuple(tuple(a * b for a, b in zip(self.words, other.words)))
+        return WordTuple.from_codes(map(code_multiply, self.codes, other.codes))
 
     def inverse(self) -> "WordTuple":
-        return WordTuple(tuple(w.inverse() for w in self.words))
+        return WordTuple.from_codes(map(code_inverse, self.codes))
 
 
 def format_word(w: Word) -> str:
@@ -256,16 +259,8 @@ def is_p_dissociate(
     return DissociateReport(ok=report.worst_h is None, witness=report.worst_h)
 
 
-def word_family_to_json(family: WordFamily) -> dict[str, str]:
-    """Serialize as a flat map '1,2' -> 'g1 g2'."""
-    return {
-        ",".join(str(i) for i in gamma): format_word(w)
-        for gamma, w in sorted(family.words.items())
-    }
-
-
 def word_family_from_json(obj: Mapping[str, str]) -> WordFamily:
-    """Inverse of :func:`word_family_to_json`; n and d inferred from the keys."""
+    """A word family from a flat map '1,2' -> 'g1 g2'; n and d inferred from the keys."""
     if not (isinstance(obj, Mapping) and all(isinstance(t, str) for t in obj.values())):
         raise ValueError("a word family must be an object mapping index keys to words")
     words = {}

@@ -90,19 +90,6 @@ def random_complex_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def random_unitaries(
-    rng: np.random.Generator, count: int, dim: int
-) -> list[np.ndarray]:
-    """Haar-ish unitaries from QR orthonormalization with a fixed phase choice."""
-    out = []
-    for _ in range(count):
-        q, r = np.linalg.qr(random_complex_matrix(rng, dim))
-        phases = np.diagonal(r).copy()
-        phases = phases / np.abs(phases)
-        out.append(q * phases.conj())
-    return out
-
-
 @dataclass
 class FamilySpec:
     """Recipe for a generated operator family."""

@@ -89,10 +89,6 @@ class SetPartition:
                 out[e - 1] = i
         return tuple(out)
 
-    def block_map(self) -> dict[int, int]:
-        """Element -> position of its block in the canonical ordering."""
-        return dict(enumerate(self.rgs, start=1))
-
     def singleton_elements(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.blocks if len(b) == 1)
 

@@ -1,9 +1,11 @@
 """Reference group-algebra arithmetic on dicts of WordTuple -> coefficient.
 
 This is the object product that ``orthosum.algebra`` replaced with integer
-codes and one batched matmul.  Each term product is formed by its own matmul
-and added to its word's running sum, the first product seeding the sum; the
-pairs run over the sorted terms of x, outer, and of y, inner.  Coefficients
+codes and one batched matmul.  Word tuples are multiplied and inverted letter
+by letter by ``tests/word_oracle.py``, not by the coded operators of
+:class:`WordTuple`.  Each term product is formed by its own matmul and added
+to its word's running sum, the first product seeding the sum; the pairs run
+over the sorted terms of x, outer, and of y, inner.  Coefficients
 that are exactly zero are dropped after every operation.  The tests hold the
 coded engine to this one bit for bit.
 """
@@ -11,6 +13,7 @@ coded engine to this one bit for bit.
 from __future__ import annotations
 
 import numpy as np
+from word_oracle import tuple_inverse, tuple_multiply
 
 from orthosum.freegroup import WordTuple
 
@@ -31,13 +34,13 @@ def multiply(x: Terms, y: Terms) -> Terms:
     acc: Terms = {}
     for wx, cx in sorted(x.items(), key=lambda kv: kv[0]):
         for wy, cy in sorted(y.items(), key=lambda kv: kv[0]):
-            w, prod = wx * wy, cx @ cy
+            w, prod = tuple_multiply(wx, wy), cx @ cy
             acc[w] = acc[w] + prod if w in acc else prod
     return clean(acc)
 
 
 def adjoint(x: Terms) -> Terms:
-    return clean({wt.inverse(): c.conj().T for wt, c in x.items()})
+    return clean({tuple_inverse(wt): c.conj().T for wt, c in x.items()})
 
 
 def trace(x: Terms, arity: int) -> complex:
@@ -61,7 +64,7 @@ def gram_power_identity_coeff(x: Terms, arity: int, shape: tuple[int, int], p: i
     other = multiply(half, gram) if k % 2 else half
     acc = zero.copy()
     for w, a in sorted(half.items(), key=lambda kv: kv[0]):
-        b = other.get(w.inverse())
+        b = other.get(tuple_inverse(w))
         if b is not None:
             acc += a @ b
     return acc

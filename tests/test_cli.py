@@ -506,6 +506,56 @@ def test_decompose_below_its_index_function_products_exits_2(tmp_path, capsys, b
     assert code == 0
 
 
+def _decompose_witness(tmp_path, capsys):
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=2, p=4, dim=3, seed=1)
+    code, out, err = run(capsys, "decompose", "--spec", spec)
+    (assertion,) = json.loads(out)["assertions"]
+    assert (code, err, assertion["name"], assertion["ok"]) == (1, "", "decomposition_identity", False)
+    return assertion["witness"]
+
+
+def test_decompose_fails_on_wrong_moments_naming_the_lhs(tmp_path, capsys, monkeypatch):
+    from orthosum import orthogonality
+
+    walk = orthogonality._prefix_walk
+
+    def wrong(*args):
+        for hs, moments in walk(*args):
+            yield hs, 1.5 * moments + 0.3
+
+    # rhs regroups the same wrong moments, so only the sum norm can tell
+    monkeypatch.setattr(orthogonality, "_prefix_walk", wrong)
+    witness = _decompose_witness(tmp_path, capsys)
+    assert list(witness) == ["lhs_vs_sum_norm"] and witness["lhs_vs_sum_norm"] > 1.0
+
+
+def test_decompose_fails_on_a_wrong_resummation_naming_the_rhs(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from orthosum import orthogonality
+
+    check = orthogonality.mobius_decomposition_check
+
+    def wrong(*args):
+        report = check(*args)
+        return dataclasses.replace(report, rhs=report.rhs + 1.0, abs_err=abs(report.abs_err - 1.0))
+
+    monkeypatch.setattr(orthogonality, "mobius_decomposition_check", wrong)
+    witness = _decompose_witness(tmp_path, capsys)
+    assert list(witness) == ["rhs_vs_lhs"] and witness["rhs_vs_lhs"] > 0.5
+
+
+def test_decompose_refuses_an_overflowing_sum_norm_power_by_name(tmp_path, capsys, monkeypatch):
+    from orthosum import cli
+
+    # a finite norm whose float power overflows: 1e100 ** 4
+    monkeypatch.setattr(cli, "family_sum_norm", lambda *args: 1e100)
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=1, p=4, dim=2, seed=5)
+    code, out, err = run(capsys, "decompose", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: the family sum norm to the power p=4 is not finite\n"
+
+
 def test_factorize_charges_the_factor_terms_to_the_budget(tmp_path, capsys):
     # the p * n^d = 2 factor terms fit a budget of 2; at 1 the table's p products of its
     # one index function, which bound them (p n^(dp) >= p n^d), are refused first, and

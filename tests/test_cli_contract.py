@@ -53,18 +53,33 @@ def mutated(draw, obj, bad):
     return {**obj, key: draw(bad[key])}
 
 
+def maybe_mutated(draw, obj, bad, well_formed):
+    return obj if well_formed else mutated(draw, obj, bad)
+
+
 @st.composite
-def matrix(draw):
-    dim = draw(st.integers(1, 2))
+def matrix(draw, dim=None, well_formed=False):
+    dim = dim or draw(st.integers(1, 2))
     entries = [[draw(st.sampled_from([0.5, -1.0, 2.0])), 0.0]] * dim**2
-    return mutated(draw, {"dim": dim, "entries": entries}, dict.fromkeys(["dim", "entries"], bad_value))
+    bad = dict.fromkeys(["dim", "entries"], bad_value)
+    return maybe_mutated(draw, {"dim": dim, "entries": entries}, bad, well_formed)
+
+
+#: Words on F_2, some of them reduced only by parsing; then words that an element
+#: on F_2 refuses: a generator beyond 2, and two that do not parse.
+GOOD_WORDS = ["g1", "G2 g1", "e", "g1 g1", "g1 G1 g2", "g2 G1 g1 G2"]
+BAD_WORDS = ["g99999999999", "x1", "g1 e"]
 
 
 @st.composite
-def element(draw):
-    word = draw(st.sampled_from(["g1", "G2 g1", "e", "g1 g1", "g99999999999", "x1"]))
-    term = {"words": [word], "coeff": draw(matrix())}
-    return mutated(draw, {"arity": 1, "n": 2, "terms": [term]}, dict.fromkeys(["arity", "n", "terms"], bad_value))
+def element(draw, dim=None, well_formed=False):
+    words = GOOD_WORDS if well_formed else GOOD_WORDS + BAD_WORDS
+    terms = [
+        {"words": [draw(st.sampled_from(words))], "coeff": draw(matrix(dim, well_formed))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    bad = dict.fromkeys(["arity", "n", "terms"], bad_value)
+    return maybe_mutated(draw, {"arity": 1, "n": 2, "terms": terms}, bad, well_formed)
 
 
 grid_key = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(lambda g: ",".join(map(str, g)))
@@ -73,9 +88,17 @@ bad_key = st.sampled_from(["1500,1500", "0", "-1", "1,x", "", "9" * 30])
 
 @st.composite
 def family_file(draw):
+    """Two times in three well-formed values of one dim on the grid keys: matrices,
+    elements, or the two in turn (mixed kinds, which a family file refuses)."""
     n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     keys = [",".join(map(str, g)) for g in oracle.grid(n, d)]
-    if draw(st.integers(0, 2)) == 2:
+    well_formed = draw(st.integers(0, 2)) < 2
+    if well_formed:
+        dim = draw(st.integers(1, 2))
+        kinds = draw(st.sampled_from([[matrix], [element], [matrix, element], [element, matrix]]))
+        values = {k: draw(kinds[i % len(kinds)](dim, well_formed=True)) for i, k in enumerate(keys)}
+        return {"n": n, "d": d, "values": values}
+    if draw(st.booleans()):
         keys = draw(st.lists(st.one_of(grid_key, bad_key), max_size=3))
     values = {k: draw(st.one_of(matrix(), element())) for k in keys}
     return mutated(draw, {"n": n, "d": d, "values": values}, dict.fromkeys(["n", "d"], bad_value))
@@ -99,8 +122,9 @@ sigmas_file = st.one_of(
 
 @st.composite
 def spec(draw):
+    # a file spec as often as all other kinds, so a family file under a family command is common
     out = {
-        "kind": draw(st.sampled_from(KINDS + ("file",))),
+        "kind": draw(st.one_of(st.just("file"), st.sampled_from(KINDS))),
         "n": draw(st.integers(1, 3)),
         "d": draw(st.integers(1, 2)),
         "p": draw(st.sampled_from([2, 4])),

@@ -114,6 +114,36 @@ def test_the_factorize_list_checks_every_partition_tuple(extra_records):
     assert differences(records, records) == []
 
 
+def test_the_word_file_lists_parse_unreduced_words_under_each_command(extra_records):
+    from orthosum.freegroup import parse_word
+
+    for workload, command in [
+        ("file_ortho", "ortho"), ("file_decompose", "decompose"), ("file_inequality", "inequality")
+    ]:
+        records = [r for r in extra_records if r["workload"] == workload]
+        assert [r["spec"] for r in records] == compare_reports.FILE_SPECS
+        for r in records:
+            report = json.loads(r["report"])
+            assert (r["rc"], report["command"]) == (0, command), (workload, r["spec"])
+            assert all(a["ok"] for a in report["assertions"]), (workload, r["spec"])
+        assert differences(records, records) == []
+    # every member has several terms, and each family has words that reduce
+    for spec in compare_reports.FILE_SPECS:
+        members = spec["family"]["values"].values()
+        assert all(len(member["terms"]) > 1 for member in members)
+        words = [w for member in members for term in member["terms"] for w in term["words"]]
+        assert any(len(parse_word(w)) < len(w.split()) for w in words), spec
+    records = [r for r in extra_records if r["workload"] == "file_dissociate"]
+    assert [r["spec"] for r in records] == compare_reports.WORD_FILE_SPECS
+    verdicts = [(r["rc"], json.loads(r["report"])["assertions"]) for r in records]
+    assert verdicts == [
+        (0, [{"name": "p_dissociate", "ok": True}]),
+        (1, [{"name": "p_dissociate", "ok": False, "witness": [[1], [2]]}]),
+    ]
+    for spec in compare_reports.WORD_FILE_SPECS:
+        assert all(len(parse_word(w)) < len(w.split()) for w in spec["family"].values())
+
+
 def test_the_decompose_list_covers_member_sides_runs_and_odd_d(extra_records):
     from orthosum.orthogonality import _BLOCK
 

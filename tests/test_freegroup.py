@@ -4,8 +4,10 @@ import json
 import random
 from itertools import product
 
+import helpers
 import numpy as np
 import pytest
+import word_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,7 +25,6 @@ from orthosum.freegroup import (
     is_p_dissociate,
     parse_word,
     word_family_from_json,
-    word_family_to_json,
     word_multiply,
 )
 from orthosum.orthogonality import _kernel_labels, has_injective_projection, sigma_of
@@ -32,7 +33,8 @@ from orthosum.partitions import kernel_code, kernel_partition
 letters = st.lists(
     st.tuples(st.integers(1, 3), st.sampled_from((-1, 1))), max_size=12
 )
-words = letters.map(Word.reduce)
+# words are reduced by the letter-stack oracle, not by the coded Word.reduce
+words = letters.map(word_oracle.reduce)
 
 
 def g(i, e=1):
@@ -62,6 +64,34 @@ def test_unreduced_letters_rejected():
         Word(((1, 2),))
 
 
+@given(letters)
+def test_reduce_matches_the_letter_stack(raw):
+    assert Word.reduce(raw) == word_oracle.reduce(raw)
+
+
+@pytest.mark.parametrize("letter", [(0, 1), (1, 2), (2, 0), (-1, -1)])
+def test_reduce_refuses_a_bad_letter_even_where_it_would_cancel(letter):
+    g, e = letter
+    for raw in ([letter], [letter, (g, -e)], [(g, -e), letter], [(1, 1), letter, (1, -1)]):
+        with pytest.raises(ValueError, match="bad letter"):
+            Word.reduce(raw)
+
+
+def test_parsing_a_long_cancelling_word_is_linear():
+    import time
+
+    rnd = random.Random(5)
+    raw = [(rnd.randint(1, 2), rnd.choice((-1, 1))) for _ in range(200_000)]
+    text = " ".join(f"g{g}" if e == 1 else f"G{g}" for g, e in raw)
+    start = time.perf_counter()
+    w = parse_word(text)
+    elapsed = time.perf_counter() - start
+    want = word_oracle.reduce(raw)
+    assert w == want and 0 < len(w) < len(raw)
+    # a fold of single letters through code_multiply copies the word per letter
+    assert elapsed < 5.0, f"parsing 200000 letters took {elapsed:.2f}s"
+
+
 @given(words)
 def test_reduce_is_idempotent_and_inverse_cancels(w):
     assert Word.reduce(w.letters) == w
@@ -71,7 +101,7 @@ def test_reduce_is_idempotent_and_inverse_cancels(w):
 
 @given(words, words, words)
 def test_multiplication_is_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert (a * b) * c == a * (b * c) == word_oracle.multiply(word_oracle.multiply(a, b), c)
 
 
 @given(words, words)
@@ -91,8 +121,14 @@ def test_letter_codes_round_trip_and_sort_like_words(tuples):
 
 @given(words, words)
 def test_coded_product_and_inverse_match_words(a, b):
-    assert code_multiply(a.codes, b.codes) == (a * b).codes
-    assert code_inverse(a.codes) == inverse(a).codes
+    product_, inverse_ = word_oracle.multiply(a, b), word_oracle.inverse(a)
+    assert code_multiply(a.codes, b.codes) == product_.codes
+    assert code_inverse(a.codes) == inverse_.codes
+    assert a * b == word_multiply(a, b) == product_
+    assert a.inverse() == inverse(a) == inverse_
+    s, t = WordTuple((a, b)), WordTuple((b, a))
+    assert s * t == word_oracle.tuple_multiply(s, t)
+    assert s.inverse() == word_oracle.tuple_inverse(s)
 
 
 def test_word_text_format():
@@ -198,7 +234,7 @@ def test_family_must_be_total():
 
 def test_family_json_roundtrip(tmp_path):
     fam = canonical_dissociate(2, 2)
-    blob = json.dumps(word_family_to_json(fam))
+    blob = json.dumps(helpers.word_family_to_json(fam))
     back = word_family_from_json(json.loads(blob))
     assert back.words == fam.words
     assert (back.n, back.d) == (2, 2)
@@ -238,7 +274,7 @@ def first_identity_word(family, p):
             acc = Word()
             for s, gamma in enumerate(h, start=1):
                 w = family.words[gamma]
-                acc = acc * (w.inverse() if s % 2 else w)
+                acc = word_oracle.multiply(acc, word_oracle.inverse(w) if s % 2 else w)
             if acc.is_identity:
                 return h
     return None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import family_to_json, random_unitaries, word_family_to_json
 
 from orthosum.algebra import (
     GROUP_ALGEBRA,
@@ -16,7 +17,7 @@ from orthosum.algebra import (
     vv_norm,
 )
 from orthosum.errors import ConstructionError, NotPOrthogonalError, SizeLimitError
-from orthosum.freegroup import Word, WordFamily, gamma_indices, word_family_to_json
+from orthosum.freegroup import Word, WordFamily, gamma_indices
 from orthosum.lab import (
     FamilySpec,
     absorption_check,
@@ -28,7 +29,6 @@ from orthosum.lab import (
     make_rng,
     phi_r_bound_check,
     random_complex_matrix,
-    random_unitaries,
     sublemma_root_check,
 )
 from orthosum.orthogonality import is_p_orthogonal, mobius_decomposition_check
@@ -110,8 +110,6 @@ def test_generation_is_reproducible():
 
 def test_file_family_roundtrip(tmp_path):
     import json
-
-    from orthosum.algebra import family_to_json
 
     fam = make_family(FamilySpec("random_matrix", n=2, d=1, p=2, dim=2, seed=8))
     path = tmp_path / "fam.json"

@@ -250,7 +250,7 @@ def test_partition_text_explicit_size_must_cover():
 def test_rgs_round_trips_every_partition(m):
     for s in all_partitions(m):
         assert _from_rgs(s.rgs) == s
-        assert s.block_map() == {e: i for i, b in enumerate(s.blocks) for e in b}
+        assert dict(enumerate(s.rgs, 1)) == {e: i for i, b in enumerate(s.blocks) for e in b}
 
 
 def test_kernel_code_examples():

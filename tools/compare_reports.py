@@ -14,7 +14,12 @@ runs three fixed lists once: ``ORTHO_SPECS``, under the workload name
 the benchmark's ``factorize`` workload does not reach; and ``DECOMPOSE_SPECS``,
 under ``decompose_dims``, moment tables at member sides, in runs and at odd d
 the benchmark's ``decompose`` (d = 2, p = 6 at side 3, one run) does not
-reach.
+reach; and the word files, which no benchmark report parses: ``FILE_SPECS``,
+group-algebra family files of multi-term, unreduced and cancelling words,
+under ``file_ortho``, ``file_decompose`` and ``file_inequality``, and
+``WORD_FILE_SPECS``, word-family files of unreduced words, under
+``file_dissociate``.  A spec's ``family`` is written to a file of its own: the
+spec file names it as ``path``, or ``dissociate --family`` reads it.
 Nothing under ``bench/`` is written.  Two reports match when their exit codes
 are equal and their JSON is equal outside ``params``, which holds each
 checkout's own file paths.  The tool prints how many reports differ and names
@@ -61,8 +66,15 @@ with tempfile.TemporaryDirectory() as tmp:
         for index, spec in enumerate(specs):
             path = Path(tmp) / f"{workload}-spec-{index}.json"
             out = Path(tmp) / f"{workload}-{index}.json"
-            path.write_text(json.dumps(spec))
+            written = dict(spec)
+            if "family" in spec:
+                family = Path(tmp) / f"{workload}-family-{index}.json"
+                family.write_text(json.dumps(written.pop("family")))
+                written["path"] = str(family)
+            path.write_text(json.dumps(written))
             argv = [command, "--spec", str(path), "--out", str(out)]
+            if command == "dissociate":
+                argv = [command, "--family", str(family), "--p", str(spec["p"]), "--out", str(out)]
             run(workload, spec["seed"], index, spec, argv, out)
 json.dump(records, sys.stdout)
 """
@@ -110,11 +122,65 @@ DECOMPOSE_SPECS = [
     {"kind": "random_matrix", "n": 2, "d": 3, "p": 4, "dim": 2, "seed": 31},
 ]
 
+
+
+def _term(words: list[str], *entries: tuple[float, float]) -> dict:
+    """A group-algebra term: one word per factor and a coefficient of [re, im] entries."""
+    dim = {1: 1, 4: 2}[len(entries)]
+    return {"words": words, "coeff": {"dim": dim, "entries": [list(z) for z in entries]}}
+
+
+#: Group-algebra family files whose words parse through free reduction: each
+#: member has several terms, some words reduce (``g1 G1 g2`` is ``g2``, ``g2
+#: G2`` the identity) and some terms merge into one word.  The first is one
+#: index at p = 4 with 2 x 2 coefficients; the second two indices at p = 2 on
+#: F_3 x F_3, its members on disjoint words, so p-orthogonal.
+FILE_SPECS = [
+    {
+        "kind": "file", "n": 2, "d": 1, "p": 4, "seed": 37,
+        "family": {"n": 2, "d": 1, "values": {
+            "1": {"arity": 1, "n": 2, "terms": [
+                _term(["g1 G1 g2"], (1.0, 0.0), (0.5, -0.5), (0.0, 0.25), (-1.0, 0.0)),
+                _term(["g2"], (0.5, 0.0), (0.0, 0.0), (0.25, 0.5), (1.0, -0.25)),
+                _term(["g1 g1 G1"], (0.0, 1.0), (-0.5, 0.0), (0.5, 0.5), (0.0, -1.0)),
+            ]},
+            "2": {"arity": 1, "n": 2, "terms": [
+                _term(["g2 G2"], (2.0, 0.0), (0.0, 0.0), (0.0, 0.0), (-1.0, 0.5)),
+                _term(["G1 g2 G2"], (0.25, -0.25), (1.0, 0.0), (0.0, 0.5), (0.5, 0.0)),
+                _term(["G1"], (-0.25, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.0)),
+            ]},
+        }},
+    },
+    {
+        "kind": "file", "n": 2, "d": 2, "p": 2, "seed": 41,
+        "family": {"n": 2, "d": 2, "values": {
+            f"{i},{j}": {"arity": 2, "n": 3, "terms": [
+                _term([f"g{i}", f"G3 g3 g{j}"], (1.0, -0.5)),
+                _term([f"g{i} g3", f"g{j} g1 G1"], (0.5, float(i - j))),
+                _term([f"g{i} g3 G3", f"g{j}"], (-0.25, 0.25 * i)),
+            ]}
+            for i in (1, 2) for j in (1, 2)
+        }},
+    },
+]
+
+#: ``dissociate`` on word-family files of unreduced words: ``g1 G2 g2`` and
+#: ``g2 g1 G1`` reduce to the free generators (2-dissociate), ``g1 g2 G2``
+#: and ``G3 g3 g1`` both to g1 (not, with a witness).
+WORD_FILE_SPECS = [
+    {"p": 4, "seed": 0, "family": {"1": "g1 G2 g2", "2": "g2 g1 G1"}},
+    {"p": 2, "seed": 0, "family": {"1": "g1 g2 G2", "2": "G3 g3 g1"}},
+]
+
 #: The extra reports by workload name: the CLI command, and its specs.
 EXTRA_REPORTS = {
     "ortho": ("ortho", ORTHO_SPECS),
     "factorize_all": ("factorize", FACTORIZE_SPECS),
     "decompose_dims": ("decompose", DECOMPOSE_SPECS),
+    "file_ortho": ("ortho", FILE_SPECS),
+    "file_decompose": ("decompose", FILE_SPECS),
+    "file_inequality": ("inequality", FILE_SPECS),
+    "file_dissociate": ("dissociate", WORD_FILE_SPECS),
 }
 
 #: Differences named in the printout.
