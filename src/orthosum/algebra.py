@@ -12,11 +12,11 @@ A group-algebra element keeps its word tuples as sorted integer codes (see
 :mod:`orthosum.freegroup`) beside one stack of coefficients; the package builds
 every element from codes, and ``WordTuple`` is only the parse and format
 boundary (``build``, ``monomial``, ``terms``, ``ga_from_json``).  A product forms
-its coefficient products by batched matmul and sums those of equal words in
-pair order, the terms of x outer and those of y inner, both in sorted word
-order; each sum runs from its first product, so it is bit for bit the running
-sum of term-by-term accumulation, signed zeros included.  Coefficients that
-cancel to exactly zero are pruned after every product.  The trace of the
+its coefficient products by batched matmul in pair order (the terms of x outer
+and those of y inner, in sorted word order) and merges them straight into the
+sorted rows of the result, so each coefficient is bit for bit the running sum
+of term-by-term accumulation, signed zeros included; exact zeros are pruned
+after every product, each batch dropped before the next.  The trace of the
 identity coefficient of x y is read without forming x y, by pairing: the sum,
 from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
 products x y merges there (``ga_product_trace``, with ``product_diagonals``,
@@ -233,30 +233,16 @@ class GroupAlgebraElement:
     def from_codes(cls, arity: int, n: int, coeff_shape, keys: Sequence[Key], stack):
         """Unvalidated constructor on coded keys, one per row of ``stack``, which it owns.
 
-        Rows of equal keys are summed in the order given (see
-        :func:`_sum_by_label`); sums that are exactly zero are dropped and the
-        keys sorted.
+        Ascending keys keep ``stack``; others are merged by :func:`_sum_by_label`.
+        Rows that are exactly zero are dropped.
         """
-        return cls._from_batches(arity, n, coeff_shape, keys, [stack])
-
-    @classmethod
-    def _from_batches(cls, arity, n, coeff_shape, keys: Sequence[Key], batches):
-        """:meth:`from_codes` with the rows of ``keys`` split into consecutive batches."""
-        labels: dict[Key, int] = {}
-        idx = [labels.setdefault(key, len(labels)) for key in keys]
-        batches = iter(batches)
-        stack = next(batches)
-        if len(labels) < len(idx) or len(stack) < len(idx):
-            idx = np.array(idx, dtype=np.intp)
-            batches = itertools.chain([stack], batches)
-            stack = _sum_by_label(idx, len(labels), stack.shape[1:], batches)
-        unique = list(labels)
-        kept = itertools.compress(range(len(unique)), stack.any(axis=(1, 2)).tolist())
-        order = sorted(kept, key=unique.__getitem__)
-        if order != list(range(len(unique))):
-            stack = stack[order]
+        if not all(map(operator.lt, keys, keys[1:])):
+            return cls.from_codes(arity, n, coeff_shape, *_sum_by_label(keys, coeff_shape, [stack]))
+        kept = stack.any(axis=(1, 2))
+        if not kept.all():
+            stack, keys = stack[kept], list(itertools.compress(keys, kept.tolist()))
         stack.setflags(write=False)
-        return cls(arity, n, tuple(coeff_shape), tuple(unique[i] for i in order), stack)
+        return cls(arity, n, tuple(coeff_shape), tuple(keys), stack)
 
     @classmethod
     def monomial(
@@ -306,22 +292,49 @@ class GroupAlgebraElement:
             )
 
 
-def _sum_by_label(idx: np.ndarray, count: int, shape, batches) -> np.ndarray:
-    """Row l: the sum of the rows labelled l by ``idx``, in their order in ``batches``.
+def _sum_by_label(keys: Sequence[Key], shape, batches) -> tuple[list[Key], np.ndarray]:
+    """The distinct ``keys``, ascending, and row by row the sum of their rows in ``batches``.
 
-    Sums start from -0.0, the exact identity of floating-point addition, so
-    each equals a running sum seeded with its first row, signed zeros
-    included; ``np.add.at`` adds entry by entry in index order.
+    The rows come in consecutive batches, each dropped before the next is
+    formed: the merge holds its result, a spare row and one batch.  A key's
+    first row is copied into its sorted row, with the bits of -0.0 + x, the
+    exact start of a running sum, for every x but NaN (no NaN reaches a
+    report: families refuse non-finite coefficients); its later rows land in
+    the spare row and are added to theirs in order, one by one in place when
+    a batch has no more of them than entries in a row, else by one
+    ``np.add.at`` over their flat entries.
     """
-    size = shape[0] * shape[1]
-    out = np.full((count,) + tuple(shape), complex(-0.0, -0.0))
+    labels: dict[Key, int] = {}  # in order of first occurrence
+    idx = [labels.setdefault(key, len(labels)) for key in keys]
+    unique = list(labels)
+    order = sorted(range(len(unique)), key=unique.__getitem__)
+    count, size = len(order), shape[0] * shape[1]
+    rank = dict(zip(order, range(count)))
+    place, later, at, top = [], [], [], -1
+    for i, label in enumerate(idx):
+        if label > top:
+            top = label
+            place.append(rank[label])
+        else:
+            place.append(count)
+            later.append(i)
+            at.append(rank[label])
+    out = np.empty((count + 1,) + tuple(shape), dtype=complex)
     start = 0
-    for batch in batches:
-        rows = idx[start : start + len(batch)]
-        start += len(batch)
-        entries = (rows[:, None] * size + np.arange(size)).reshape(-1)
-        np.add.at(out.reshape(-1), entries, batch.reshape(-1))
-    return out
+    for rows in batches:
+        stop = start + len(rows)
+        out[place[start:stop]] = rows
+        lo, hi = bisect.bisect_left(later, start), bisect.bisect_left(later, stop)
+        if hi - lo <= size:
+            for i, r in zip(later[lo:hi], at[lo:hi]):
+                out[r] += rows[i - start]
+        else:
+            entries = (np.array(at[lo:hi])[:, None] * size + np.arange(size)).reshape(-1)
+            mine = rows[np.array(later[lo:hi]) - start]
+            np.add.at(out.reshape(-1), entries, mine.reshape(-1))
+        start = stop
+        del rows  # free this batch before the next one is formed
+    return [unique[i] for i in order], out[:-1]
 
 
 def _chained_shape(x: GroupAlgebraElement, y: GroupAlgebraElement) -> tuple[int, int]:
@@ -349,19 +362,21 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
         prods = x.coeffs[i : i + step, None] @ y.coeffs[None, :]
         return prods.reshape((prods.shape[0] * prods.shape[1],) + shape)
 
-    batches = map(batch, range(0, max(len(x.keys), 1), step))
-    return GroupAlgebraElement._from_batches(x.arity, x.n, shape, keys, batches)
+    starts = range(0, max(len(x.keys), 1), step)
+    if len(starts) == 1:  # from_codes keeps one batch of ascending keys as it is
+        return GroupAlgebraElement.from_codes(x.arity, x.n, shape, keys, batch(0))
+    keys, stack = _sum_by_label(keys, shape, map(batch, starts))
+    return GroupAlgebraElement.from_codes(x.arity, x.n, shape, keys, stack)
 
 
 def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Involution: word tuples invert, coefficients conjugate-transpose."""
-    return GroupAlgebraElement.from_codes(
-        x.arity,
-        x.n,
-        (x.coeff_shape[1], x.coeff_shape[0]),
-        [tuple(map(code_inverse, key)) for key in x.keys],
-        x.coeffs.conj().transpose(0, 2, 1),
-    )
+    """Involution: word tuples invert, coefficients conjugate-transpose, in one sorted copy."""
+    keys = [tuple(map(code_inverse, key)) for key in x.keys]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    coeffs = x.coeffs.transpose(0, 2, 1)[order]
+    np.conjugate(coeffs, out=coeffs)
+    coeffs.setflags(write=False)
+    return GroupAlgebraElement(x.arity, x.n, coeffs.shape[1:], tuple(keys[i] for i in order), coeffs)
 
 
 def _paired_diagonal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
@@ -11,6 +12,11 @@ _SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
 compare_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_reports)
 differences = compare_reports.differences
+_DIGESTS = importlib.util.spec_from_file_location(
+    "report_digests", _PATH.with_name("report_digests.py")
+)
+report_digests = importlib.util.module_from_spec(_DIGESTS)
+_DIGESTS.loader.exec_module(report_digests)
 
 
 def record(index=0, rc=0, params=None, results=None, workload="decompose", seed=1):
@@ -161,3 +167,43 @@ def test_the_decompose_list_covers_member_sides_runs_and_odd_d(extra_records):
     shapes = [(r["spec"]["n"], r["spec"]["d"], r["spec"]["p"]) for r in records]
     assert [shape for shape in shapes if shape[1] % 2] == [(2, 1, 8), (2, 3, 4)]
     assert differences(records, records) == []
+
+
+def test_the_extra_reports_keep_their_committed_digests(extra_records):
+    manifest = json.loads(report_digests.MANIFEST.read_text())
+    for pin in manifest["reports"]:  # the manifest's digests are of its own reports
+        assert pin == report_digests.pinned({**pin, "report": json.dumps(pin["report"])})
+    diff = report_digests.first_difference(extra_records, manifest, report_digests.numpy_build())
+    assert diff is None, diff
+
+
+def test_the_digest_check_names_the_first_report_that_moved(extra_records):
+    manifest = json.loads(report_digests.MANIFEST.read_text())
+    here = {"numpy": manifest["numpy"], "blas": manifest["blas"]}
+    other = {"numpy": "0.0", "blas": "another BLAS"}
+    check = report_digests.first_difference
+    at = [r["workload"] for r in extra_records].index("decompose_dims")
+    name = f"decompose_dims report {extra_records[at]['index']}"
+
+    def moved(move, rc=0):
+        """The records with report ``at``'s real lhs moved and ``rc`` added to its exit code."""
+        records = [dict(r) for r in extra_records]
+        report = json.loads(records[at]["report"])
+        report["results"]["lhs"]["real"] = move(report["results"]["lhs"]["real"])
+        records[at].update(report=json.dumps(report), rc=records[at]["rc"] + rc)
+        return records
+
+    # one ulp is a new digest on the pinned build, and within rtol on another
+    ulp = moved(lambda v: np.nextafter(v, np.inf))
+    assert check(ulp, manifest, here) == f"{name}: digest differs from the manifest"
+    assert check(ulp, manifest, other) is None
+    assert check(extra_records, manifest, other) is None
+    for records in (moved(lambda v: v * (1 + 1e-9)), moved(lambda v: v, rc=1)):
+        for build in (here, other):
+            assert check(records, manifest, build).startswith(f"{name}: ")
+    assert check(extra_records[:-1], manifest, here) == (
+        "file_dissociate report 1: missing in the records"
+    )
+    assert check(extra_records[::-1], manifest, here) == (
+        "file_dissociate report 1: the manifest has ortho report 0 in its place"
+    )
