@@ -16,7 +16,8 @@ its coefficient products by batched matmul in pair order (the terms of x outer
 and those of y inner, in sorted word order) and merges them straight into the
 sorted rows of the result, so each coefficient is bit for bit the running sum
 of term-by-term accumulation, signed zeros included; exact zeros are pruned
-after every product, each batch dropped before the next.  The trace of the
+after every product (a product whose sum cancels copies its kept rows once
+more), each batch dropped before the next.  The trace of the
 identity coefficient of x y is read without forming x y, by pairing: the sum,
 from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
 products x y merges there (``ga_product_trace``, with ``product_diagonals``,
@@ -234,7 +235,7 @@ class GroupAlgebraElement:
         """Unvalidated constructor on coded keys, one per row of ``stack``, which it owns.
 
         Ascending keys keep ``stack``; others are merged by :func:`_sum_by_label`.
-        Rows that are exactly zero are dropped.
+        Rows that are exactly zero are dropped into a new copy of the rest.
         """
         if not all(map(operator.lt, keys, keys[1:])):
             return cls.from_codes(arity, n, coeff_shape, *_sum_by_label(keys, coeff_shape, [stack]))
@@ -300,15 +301,13 @@ def _sum_by_label(keys: Sequence[Key], shape, batches) -> tuple[list[Key], np.nd
     first row is copied into its sorted row, with the bits of -0.0 + x, the
     exact start of a running sum, for every x but NaN (no NaN reaches a
     report: families refuse non-finite coefficients); its later rows land in
-    the spare row and are added to theirs in order, one by one in place when
-    a batch has no more of them than entries in a row, else by one
-    ``np.add.at`` over their flat entries.
+    the spare row and are added to theirs in place, one by one in order.
     """
     labels: dict[Key, int] = {}  # in order of first occurrence
     idx = [labels.setdefault(key, len(labels)) for key in keys]
     unique = list(labels)
     order = sorted(range(len(unique)), key=unique.__getitem__)
-    count, size = len(order), shape[0] * shape[1]
+    count = len(order)
     rank = dict(zip(order, range(count)))
     place, later, at, top = [], [], [], -1
     for i, label in enumerate(idx):
@@ -325,13 +324,8 @@ def _sum_by_label(keys: Sequence[Key], shape, batches) -> tuple[list[Key], np.nd
         stop = start + len(rows)
         out[place[start:stop]] = rows
         lo, hi = bisect.bisect_left(later, start), bisect.bisect_left(later, stop)
-        if hi - lo <= size:
-            for i, r in zip(later[lo:hi], at[lo:hi]):
-                out[r] += rows[i - start]
-        else:
-            entries = (np.array(at[lo:hi])[:, None] * size + np.arange(size)).reshape(-1)
-            mine = rows[np.array(later[lo:hi]) - start]
-            np.add.at(out.reshape(-1), entries, mine.reshape(-1))
+        for i, r in zip(later[lo:hi], at[lo:hi]):
+            out[r] += rows[i - start]
         start = stop
         del rows  # free this batch before the next one is formed
     return [unique[i] for i in order], out[:-1]
@@ -375,8 +369,9 @@ def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
     order = sorted(range(len(keys)), key=keys.__getitem__)
     coeffs = x.coeffs.transpose(0, 2, 1)[order]
     np.conjugate(coeffs, out=coeffs)
-    coeffs.setflags(write=False)
-    return GroupAlgebraElement(x.arity, x.n, coeffs.shape[1:], tuple(keys[i] for i in order), coeffs)
+    return GroupAlgebraElement.from_codes(
+        x.arity, x.n, coeffs.shape[1:], [keys[i] for i in order], coeffs
+    )
 
 
 def _paired_diagonal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:

@@ -737,8 +737,7 @@ _MERGE_CASES = {
         {_g(): [[0.5, -1.0], [2.0, 0.25]], _g((1, 1)): [[1.0, 0.5j], [-0.5, 1.0]]},
         {_g(): [[1.0, 0.0], [0.5j, -2.0]], _g((1, -1)): [[0.25, 1.0], [-1.0, 0.5]]},
     ),
-    # e e, g1 G1 and g2 G2 meet at e with 1, 1 and -2: the sum is dropped;
-    # in one batch its two later rows outnumber the one entry of a row
+    # e e, g1 G1 and g2 G2 meet at e with 1, 1 and -2: the sum is dropped
     "exact_cancellation": (
         {_g(): [[1.0]], _g((1, 1)): [[1.0]], _g((2, 1)): [[1.0]]},
         {_g(): [[1.0]], _g((1, -1)): [[1.0]], _g((2, -1)): [[-2.0]]},

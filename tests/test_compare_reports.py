@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ _SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
 compare_reports = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(compare_reports)
 differences = compare_reports.differences
+sys.modules["compare_reports"] = compare_reports  # as report_digests imports it
 _DIGESTS = importlib.util.spec_from_file_location(
     "report_digests", _PATH.with_name("report_digests.py")
 )
@@ -171,19 +173,16 @@ def test_the_decompose_list_covers_member_sides_runs_and_odd_d(extra_records):
 
 def test_the_extra_reports_keep_their_committed_digests(extra_records):
     manifest = json.loads(report_digests.MANIFEST.read_text())
-    for pin in manifest["reports"]:  # the manifest's digests are of its own reports
-        assert pin == report_digests.pinned({**pin, "report": json.dumps(pin["report"])})
     diff = report_digests.first_difference(extra_records, manifest, report_digests.numpy_build())
     assert diff is None, diff
 
 
 def test_the_digest_check_names_the_first_report_that_moved(extra_records):
     manifest = json.loads(report_digests.MANIFEST.read_text())
-    here = {"numpy": manifest["numpy"], "blas": manifest["blas"]}
-    other = {"numpy": "0.0", "blas": "another BLAS"}
+    here, other = manifest["build"], {**manifest["build"], "simd": ["another CPU"]}
     check = report_digests.first_difference
     at = [r["workload"] for r in extra_records].index("decompose_dims")
-    name = f"decompose_dims report {extra_records[at]['index']}"
+    name = compare_reports._label(extra_records[at])
 
     def moved(move, rc=0):
         """The records with report ``at``'s real lhs moved and ``rc`` added to its exit code."""
@@ -193,17 +192,15 @@ def test_the_digest_check_names_the_first_report_that_moved(extra_records):
         records[at].update(report=json.dumps(report), rc=records[at]["rc"] + rc)
         return records
 
-    # one ulp is a new digest on the pinned build, and within rtol on another
+    # one ulp is a difference on the pinned build, and within rtol on another
     ulp = moved(lambda v: np.nextafter(v, np.inf))
-    assert check(ulp, manifest, here) == f"{name}: digest differs from the manifest"
+    assert check(ulp, manifest, here) == f"{name}: report differs outside params"
     assert check(ulp, manifest, other) is None
     assert check(extra_records, manifest, other) is None
-    for records in (moved(lambda v: v * (1 + 1e-9)), moved(lambda v: v, rc=1)):
-        for build in (here, other):
-            assert check(records, manifest, build).startswith(f"{name}: ")
-    assert check(extra_records[:-1], manifest, here) == (
-        "file_dissociate report 1: missing in the records"
-    )
-    assert check(extra_records[::-1], manifest, here) == (
-        "file_dissociate report 1: the manifest has ortho report 0 in its place"
-    )
+    far = moved(lambda v: v * (1 + 1e-9))
+    for build in (here, other):
+        assert check(far, manifest, build) == f"{name}: report differs outside params"
+        assert check(moved(lambda v: v, rc=1), manifest, build) == f"{name}: exit code 0 != 1"
+    last = compare_reports._label(extra_records[-1])
+    assert check(extra_records[:-1], manifest, here) == f"{last}: missing in the change"
+    assert check(extra_records[::-1], manifest, here) is None  # matched by key, not place

@@ -1,55 +1,63 @@
-"""Committed digests of the extra-list reports, and the check against them.
+"""Committed pins of the extra-list reports, and the check against them.
 
     python3 tools/report_digests.py
 
 runs every report of ``compare_reports.EXTRA_REPORTS`` in this checkout, as
 ``tools/compare_reports.py`` runs them, and writes ``tests/report_digests.json``:
-for each report its exit code, its JSON outside ``params`` and the SHA-256 of
-the two, beside the numpy version and BLAS build that made them.  A change
+each record with its report's JSON outside ``params``, beside the build that
+made them (numpy version, BLAS, the SIMD extensions numpy found on the CPU
+and, where threadpoolctl is installed, the OpenBLAS cores in use).  A change
 that moves a number on purpose writes the manifest again in the same commit
 and names the reports that moved.
 
-:func:`first_difference` is the tier-1 check.  On the recorded numpy and BLAS
-every digest must match.  On another build the last bits of a report may
-move, so there every number is compared instead, within ``RTOL`` of the larger
-of its pinned value and the report's ``scale``: rounding residues such as
-``abs_err`` are small against the numbers they compare, and are measured
-against that scale.
+:func:`first_difference` is the tier-1 check.  On the recorded build every
+report must keep its bits.  On another build, a CPU included (OpenBLAS picks
+its kernels from the CPU it runs on), the last bits of a report may move, so
+there every number is compared instead, within ``RTOL`` of the larger of its
+pinned value and the report's ``scale``: rounding residues such as ``abs_err``
+are small against the numbers they compare, and are measured against that
+scale.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from compare_reports import collect, differences  # this script's directory is on sys.path
+
 MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "report_digests.json"
 RTOL = 1e-12
 
 
 def numpy_build() -> dict:
-    """The numpy version and BLAS build of this interpreter."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    """The numpy version, BLAS build and CPU kernels of this interpreter."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        cores = None
+    else:
+        pools = threadpool_info()
+        cores = sorted(i.get("architecture", "") for i in pools if i["internal_api"] == "openblas")
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": config["SIMD Extensions"]["found"],
+        "openblas_cores": cores,
+    }
 
 
 def pinned(record: dict) -> dict:
-    """A record of ``compare_reports.collect`` as the manifest keeps it."""
+    """A record of ``compare_reports.collect`` as the manifest keeps it, params left out."""
     report = None if record["report"] is None else json.loads(record["report"])
     if report is not None:
         report.pop("params", None)
-    text = json.dumps({"rc": record["rc"], "report": report}, sort_keys=True)
-    return {
-        "workload": record["workload"],
-        "index": record["index"],
-        "rc": record["rc"],
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "report": report,
-    }
+    return {**record, "report": report}
 
 
 def _close(got, want, scale: float) -> bool:
@@ -74,36 +82,37 @@ def _close(got, want, scale: float) -> bool:
 def first_difference(records: list[dict], manifest: dict, build: dict) -> str | None:
     """The first of ``records`` that differs from ``manifest``, named; None when all match.
 
-    ``build`` is the numpy build that made ``records``: digests are compared
-    when it is the manifest's, numbers within RTOL otherwise.
+    ``build`` is the build that made ``records``: on the manifest's, reports
+    must be equal; on another, a report within RTOL of its pin counts as it.
     """
-    exact = build == {"numpy": manifest["numpy"], "blas": manifest["blas"]}
-    pins = itertools.zip_longest(map(pinned, records), manifest["reports"], fillvalue={})
-    for got, want in pins:
-        if not (got and want):
-            side, pin = ("records", want) if want else ("manifest", got)
-            return f"{pin['workload']} report {pin['index']}: missing in the {side}"
-        name, there = (f"{p['workload']} report {p['index']}" for p in (got, want))
-        if name != there:
-            return f"{name}: the manifest has {there} in its place"
-        if exact and got["sha256"] != want["sha256"]:
-            return f"{name}: digest differs from the manifest"
-        results = (want["report"] or {}).get("results")
-        scale = results.get("scale", 0.0) if isinstance(results, dict) else 0.0
-        moved = got["rc"] != want["rc"] or not _close(got["report"], want["report"], scale)
-        if not exact and moved:
-            return f"{name}: differs from the manifest beyond rtol {RTOL:g}"
-    return None
+    pins = [_unpinned(pin, pin["report"]) for pin in manifest["reports"]]
+    if build != manifest["build"]:
+        key = lambda r: (r["workload"], r["seed"], r["index"])
+        near = {key(p): p["report"] for p in manifest["reports"]}
+        records = [_snapped(r, near.get(key(r))) for r in records]
+    diffs = differences(pins, records)
+    return diffs[0] if diffs else None
+
+
+def _snapped(record: dict, want) -> dict:
+    """``record`` with its pinned report ``want`` in place of its own, if within RTOL of it."""
+    got = pinned(record)["report"]
+    results = (want or {}).get("results")
+    scale = results.get("scale", 0.0) if isinstance(results, dict) else 0.0
+    return _unpinned(record, want) if _close(got, want, scale) else record
+
+
+def _unpinned(record: dict, report) -> dict:
+    """``record`` with ``report`` as ``compare_reports.collect`` gives it: text, or None."""
+    return {**record, "report": None if report is None else json.dumps(report)}
 
 
 def main() -> int:
-    from compare_reports import collect  # this script's directory is on sys.path
-
     pins = [pinned(r) for r in collect(MANIFEST.parent.parent, [])]
-    head = json.dumps(numpy_build())[:-1]
+    head = json.dumps({"build": numpy_build()})[:-1]
     lines = ",\n".join(json.dumps(p, sort_keys=True) for p in pins)
     MANIFEST.write_text(f'{head}, "reports": [\n{lines}\n]}}\n')
-    print(f"wrote {len(pins)} report digests to {MANIFEST}")
+    print(f"wrote {len(pins)} report pins to {MANIFEST}")
     return 0
 
 
