@@ -22,7 +22,9 @@ identity coefficient of x y is read without forming x y, by pairing: the sum,
 from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
 products x y merges there (``ga_product_trace``, with ``product_diagonals``,
 the matrix walk's trace).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
-and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.
+and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.  At
+p = 0 mod 4, A = B is paired as it is merged, never stored past one batch: the
+norm holds x*, the lower powers of x* x and two merged coefficients at a time.
 Rectangular elements (group-algebra flattenings) keep x* x even when wide:
 their bits are pinned to the object-product oracle in the tests.
 
@@ -412,23 +414,59 @@ def ga_product_trace(x: GroupAlgebraElement, y: GroupAlgebraElement) -> complex:
     return complex(diagonal.sum() / len(diagonal)) if diagonal.any() else 0j
 
 
+def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndarray:
+    """``_paired_diagonal(h, h)`` of h = a b, without storing h when it takes several batches.
+
+    Each word of h whose inverse is a word of h too is merged with it as
+    ga_multiply merges them (the first product, then the later ones added in
+    pair order); the two are paired by ``product_diagonals`` and dropped, and a
+    word whose sum is exactly zero pairs with nothing, as pruning drops it.  The
+    diagonals are summed from -0.0 in sorted word order.
+    """
+    shape = _chained_shape(a, b)
+    if len(a.keys) * len(b.keys) * shape[0] * shape[1] <= _BATCH:  # h is one batch
+        h = ga_multiply(a, b)
+        return _paired_diagonal(h, h)
+    pairs: dict[Key, list[tuple[int, int]]] = {}
+    for (i, u), (j, v) in itertools.product(enumerate(a.keys), enumerate(b.keys)):
+        pairs.setdefault(tuple(map(code_multiply, u, v)), []).append((i, j))
+    products = lambda w: (a.coeffs[i] @ b.coeffs[j] for i, j in pairs[w])
+    diagonals: dict[Key, np.ndarray] = {}
+
+    def pair(words: tuple[Key, ...]) -> None:
+        coeffs = [functools.reduce(operator.iadd, products(w)) for w in words]
+        if all(c.any() for c in coeffs):
+            for w, c, partner in zip(words, coeffs, coeffs[::-1]):
+                diagonals[w] = product_diagonals(c, partner)[0]
+
+    for key in pairs:
+        inverse = tuple(map(code_inverse, key))
+        if key <= inverse and inverse in pairs:  # each pair once, from its lesser word
+            pair((key,) if key == inverse else (key, inverse))
+    start = np.full(shape[0], complex(-0.0, -0.0))
+    return functools.reduce(operator.add, map(diagonals.get, sorted(diagonals)), start)
+
+
 def _gram_power_diagonal(x: GroupAlgebraElement, p: int, budget: int) -> np.ndarray:
     """Diagonal of the coefficient at the identity of (x* x)^(p/2), by half-power pairing.
 
     With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), it is
-    :func:`_paired_diagonal` of A and B; for k = 1 of x* and x.
+    :func:`_paired_diagonal` of A and B; for k = 1 of x* and x.  At even k, A = B is
+    paired as it is merged (:func:`_squared_diagonal`), never stored past one batch:
+    a norm holds x*, the powers of x* x below A, and two merged coefficients.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
     check_budget(p // 2, budget, "even-norm products")
     k = p // 2
-    if k == 1:
-        return _paired_diagonal(ga_adjoint(x), x)
+    if k <= 2:
+        return (_paired_diagonal if k == 1 else _squared_diagonal)(ga_adjoint(x), x)
     half = gram = ga_multiply(ga_adjoint(x), x)
-    for _ in range(k // 2 - 1):
-        half = ga_multiply(half, gram)
-    other = ga_multiply(half, gram) if k % 2 else half
-    return _paired_diagonal(half, other)
+    for _ in range((k - 1) // 2 - 1):
+        half = ga_multiply(half, gram)  # (x* x)^((k - 1) // 2)
+    if k % 2:
+        return _paired_diagonal(half, ga_multiply(half, gram))
+    return _squared_diagonal(half, gram)
 
 
 def ga_even_norm(x: GroupAlgebraElement, p: int, budget: int = DEFAULT_BUDGET) -> float:

@@ -191,13 +191,15 @@ def _prefix_walk(
                 children = [
                     j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))
                 ]
-                rows = factors[s % 2][children]
+                rows = factors[s % 2] if len(children) == k else factors[s % 2][children]
                 hs = [prefix + (gammas[j],) for j in children]
                 if s + 1 < p:
                     acc = rows if acc is None else mul(acc, rows)
+                    del rows  # before the next prefix gathers its own
                     stack += reversed([(acc[i : i + 1], h) for i, h in enumerate(hs)])
                     continue
                 moments = last(acc, rows)
+                del rows
             finite = np.isfinite(moments)
             if not finite.all():
                 r = int(finite.argmin())
