@@ -790,6 +790,112 @@ def test_a_product_holds_its_result_and_at_most_two_batches():
     assert peak <= gram.coeffs.nbytes + 2 * batch, (peak, gram.coeffs.nbytes, batch)
 
 
+def test_an_even_norm_holds_less_than_its_top_power():
+    dim, r = 64, rng(41)
+    # the element of the product test above: at p = 4 the top power is its gram x* x
+    x = GroupAlgebraElement.build(
+        1, 6, (dim, dim), {_g((i, 1)): rand_matrix(r, dim) for i in range(1, 7)}
+    )
+    tracemalloc.start()
+    try:
+        norm = ga_even_norm(x, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gram = ga_multiply(ga_adjoint(x), x)
+    assert gram.term_count == 31
+    assert peak < gram.coeffs.nbytes, (peak, gram.coeffs.nbytes)
+    assert repr(norm) == repr(algebra._even_root(_stored_top_power_diagonal(x, 4).sum(), dim, 4))
+
+
+def _stored_top_power_diagonal(x, p):
+    """Diagonal at the identity of (x* x)^(p/2), p = 4 or 8, from the stored top power h h."""
+    a, b = ga_adjoint(x), x
+    if p == 8:
+        a = b = ga_multiply(a, b)
+    h = ga_multiply(a, b)
+    return algebra._paired_diagonal(h, h)
+
+
+def _element(terms, shape=None):
+    terms = {w: np.array(c, dtype=complex) for w, c in terms.items()}
+    return GroupAlgebraElement.build(1, 2, shape or next(iter(terms.values())).shape, terms)
+
+
+def _wide_flattening():
+    """x* and x of the (2, 4) flattening of two three-term members along alpha = ()."""
+    r = rng(43)
+    words = (_g(), _g((1, 1)), _g((2, -1), (1, 1)))
+    member = lambda: _element({w: rand_matrix(r, 2) for w in words})
+    f = OperatorFamily(2, 1, GROUP_ALGEBRA, {(1,): member(), (2,): member()})
+    x = ga_flatten(f, SplitPair((), (1,)))
+    assert x.coeff_shape == (2, 4)
+    return ga_adjoint(x), x
+
+
+def _merging_at_identity():
+    """e is reached by e e, g1 G1 and g2 g1 G1 G2: three products merge there."""
+    r = rng(47)
+    x = _element({w: rand_matrix(r, 2) for w in (_g(), _g((1, 1)), _g((2, 1), (1, 1)))})
+    return x, _element({w: rand_matrix(r, 2) for w in (_g(), _g((1, -1)), _g((1, -1), (2, -1)))})
+
+
+#: Pairs (a, b) whose product h = a b is paired with itself.
+_SQUARE_CASES = {
+    "identity_merges_several": _merging_at_identity,
+    # at g1, 2 * 1 + 1 * -2 cancels exactly: its partner G1 (= 2) pairs with nothing
+    "exact_cancellation": lambda: (
+        _element({_g(): [[2.0]], _g((1, 1)): [[1.0]]}),
+        _element({_g(): [[-2.0]], _g((1, 1)): [[1.0]], _g((1, -1)): [[1.0]]}),
+    ),
+    # no word of h = {g1, g1 g1} meets its inverse: the diagonal is a lone -0.0 - 0.0j
+    "lone_signed_zero": lambda: (
+        _element({_g(): [[complex(-0.0, 1.0)]], _g((1, 1)): [[1.0]]}),
+        _element({_g((1, 1)): [[1.0]]}),
+    ),
+    "no_terms": lambda: (
+        _element({}, (2, 2)),
+        _element({_g((1, 1)): [[1.0, 2.0], [0.5, -1.0]], _g((2, 1)): np.eye(2)}),
+    ),
+    "wide_flattening": _wide_flattening,
+}
+
+
+@pytest.mark.parametrize("batch", [1, algebra._BATCH])
+@pytest.mark.parametrize("case", sorted(_SQUARE_CASES))
+def test_the_top_power_paired_as_merged_keeps_the_bits_of_the_stored_one(case, batch, monkeypatch):
+    a, b = _SQUARE_CASES[case]()
+    stored = {}
+    for u, v in ((a, b), (b, a)):
+        h = ga_multiply(u, v)
+        stored[u, v] = h, algebra._paired_diagonal(h, h)
+    for i, x in enumerate((a, b)):
+        for p in (4, 8):
+            stored[i, p] = _stored_top_power_diagonal(x, p)
+    formed, real = [], algebra.ga_multiply
+    monkeypatch.setattr(algebra, "_BATCH", batch)
+    monkeypatch.setattr(algebra, "ga_multiply", lambda x, y: formed.append(1) or real(x, y))
+    for u, v in ((a, b), (b, a)):
+        h, want = stored[u, v]
+        formed.clear()
+        assert repr(algebra._squared_diagonal(u, v).tolist()) == repr(want.tolist())
+        # h is formed only when its products fit one batch
+        assert (formed == []) == (u.term_count * v.term_count * np.prod(h.coeff_shape) > batch)
+    for i, x in enumerate((a, b)):
+        for p in (4, 8):
+            diagonal, c = stored[i, p], x.coeff_shape[1]
+            got = _gram_power_diagonal(x, p, DEFAULT_BUDGET)
+            assert repr(got.tolist()) == repr(diagonal.tolist()), (i, p)
+            norm = algebra._even_root(diagonal.sum(), c, p)
+            assert repr(ga_vv_norm(x, p, c)) == repr(norm), (i, p)
+    h, want = stored[a, b]
+    if case == "exact_cancellation":
+        assert _g((1, 1)) not in h.terms and _g((1, -1)) in h.terms
+        assert repr(want.tolist()) == repr([(9 + 0j)])  # e e alone
+    if case in ("lone_signed_zero", "no_terms"):  # nothing pairs: the sum is its start
+        assert want.size and np.signbit(want.view(float)).all()
+
+
 @pytest.mark.parametrize("p", [2, 4, 6])
 @pytest.mark.parametrize(
     "arity,shape,seed", [(1, (1, 1), 0), (1, (2, 2), 1), (2, (2, 2), 2), (1, (2, 3), 3)]

@@ -204,3 +204,22 @@ def test_the_digest_check_names_the_first_report_that_moved(extra_records):
     last = compare_reports._label(extra_records[-1])
     assert check(extra_records[:-1], manifest, here) == f"{last}: missing in the change"
     assert check(extra_records[::-1], manifest, here) is None  # matched by key, not place
+
+
+def test_the_inequality_list_covers_each_benchmark_kind_and_p_8(extra_records):
+    from workloads import WORKLOADS
+
+    records = [r for r in extra_records if r["workload"] == "inequality_kinds"]
+    specs = compare_reports.INEQUALITY_SPECS
+    assert [r["spec"] for r in records] == specs
+    shape = lambda s: (s["kind"], s["n"], s["d"], s["p"], s["dim"])
+    benchmark = {row[:5] for row in WORKLOADS["inequality"].mix}
+    at4 = [shape(s) for s in specs if s["p"] == 4]
+    assert {k for k, *_ in at4} == {k for k, *_ in benchmark} and len(at4) == 4
+    assert set(at4) <= benchmark and ("martingale_rademacher", 6, 1, 4, 2) in at4
+    assert [s["p"] for s in specs if s["p"] != 4] == [8]
+    for r in records:
+        report = json.loads(r["report"])
+        assert (r["rc"], report["command"]) == (0, "inequality"), r["spec"]
+        assert all(a["ok"] for a in report["assertions"]), r["spec"]
+    assert differences(records, records) == []

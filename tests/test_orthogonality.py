@@ -807,3 +807,20 @@ def test_traced_diagonals_are_summed_bitwise_as_numpy_sums_them(side):
     diag[hit] = r.choice(specials, int(hit.sum()))
     stacked = diag.reshape(3, 400, side)
     assert _traces(stacked).tobytes() == stacked.sum(-1).tobytes()
+
+
+def test_the_pruned_walk_holds_one_gather_and_no_copy_of_a_full_factor_stack():
+    import tracemalloc
+
+    # six members of side 128: a factor stack is 1.5 MiB
+    fam = make_family(FamilySpec("martingale_rademacher", n=6, d=1, p=4, dim=2, seed=1))
+    assert fam.members.shape == (6, 128, 128)
+    tracemalloc.start()
+    try:
+        report = is_p_orthogonal(fam, 4, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.count_checked == 6 * 5 * 4 * 3
+    # the adjoint stack, the products of each level and one gather of live rows
+    assert peak <= 3.5 * fam.members.nbytes, (peak, fam.members.nbytes)

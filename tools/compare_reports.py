@@ -7,14 +7,16 @@ its ``src/`` and the workloads from its ``bench/workloads.py``, writes each
 workload's spec and partition files for every seed into a temporary
 directory, and runs every report as an in-process ``orthosum.cli.main`` call
 with BLAS pinned to one thread, as ``bench/run.py`` does.  Besides those it
-runs three fixed lists once: ``ORTHO_SPECS``, under the workload name
+runs fixed lists once: ``ORTHO_SPECS``, under the workload name
 ``ortho``, since no benchmark workload runs ``ortho``, yet its
 ``max_abs_violation`` is the number a change to the moment walk can move; and
 ``FACTORIZE_SPECS``, under ``factorize_all``, every partition tuple of shapes
 the benchmark's ``factorize`` workload does not reach; and ``DECOMPOSE_SPECS``,
 under ``decompose_dims``, moment tables at member sides, in runs and at odd d
 the benchmark's ``decompose`` (d = 2, p = 6 at side 3, one run) does not
-reach; and the word files, which no benchmark report parses: ``FILE_SPECS``,
+reach; and ``INEQUALITY_SPECS``, under ``inequality_kinds``, one main-estimate
+report per benchmark kind at p = 4 and one at p = 8, at fixed seeds; and the
+word files, which no benchmark report parses: ``FILE_SPECS``,
 group-algebra family files of multi-term, unreduced and cancelling words,
 under ``file_ortho``, ``file_decompose`` and ``file_inequality``, and
 ``WORD_FILE_SPECS``, word-family files of unreduced words, under
@@ -122,6 +124,19 @@ DECOMPOSE_SPECS = [
     {"kind": "random_matrix", "n": 2, "d": 3, "p": 4, "dim": 2, "seed": 31},
 ]
 
+#: The ``inequality`` reports run besides the benchmark's, whose spec seeds
+#: change with its seed: each of its four kinds once at p = 4, martingale n = 6
+#: (six 128 x 128 members, the benchmark's heaviest report) among them, and
+#: one at p = 8, where B pairs the square of the 13-word gram of side 32.  The
+#: two martingale seeds are ones at which summing B's paired diagonals in
+#: another order moves the last bit of B.
+INEQUALITY_SPECS = [
+    {"kind": "martingale_rademacher", "n": 6, "d": 1, "p": 4, "dim": 2, "seed": 44},
+    {"kind": "free_generators", "n": 2, "d": 2, "p": 4, "dim": 2, "seed": 47},
+    {"kind": "rademacher", "n": 3, "d": 2, "p": 4, "dim": 1, "seed": 53},
+    {"kind": "dissociate", "n": 3, "d": 2, "p": 4, "dim": 2, "seed": 59},
+    {"kind": "martingale_rademacher", "n": 4, "d": 1, "p": 8, "dim": 2, "seed": 41},
+]
 
 
 def _term(words: list[str], *entries: tuple[float, float]) -> dict:
@@ -177,6 +192,7 @@ EXTRA_REPORTS = {
     "ortho": ("ortho", ORTHO_SPECS),
     "factorize_all": ("factorize", FACTORIZE_SPECS),
     "decompose_dims": ("decompose", DECOMPOSE_SPECS),
+    "inequality_kinds": ("inequality", INEQUALITY_SPECS),
     "file_ortho": ("ortho", FILE_SPECS),
     "file_decompose": ("decompose", FILE_SPECS),
     "file_inequality": ("inequality", FILE_SPECS),
