@@ -13,18 +13,18 @@ A group-algebra element keeps its word tuples as sorted integer codes (see
 every element from codes, and ``WordTuple`` is only the parse and format
 boundary (``build``, ``monomial``, ``terms``, ``ga_from_json``).  A product forms
 its coefficient products by batched matmul in pair order (the terms of x outer
-and those of y inner, in sorted word order) and merges them straight into the
-sorted rows of the result, so each coefficient is bit for bit the running sum
-of term-by-term accumulation, signed zeros included; exact zeros are pruned
-after every product (a product whose sum cancels copies its kept rows once
-more), each batch dropped before the next.  The trace of the
+and those of y inner, in sorted word order), and one merge, ``_sum_by_label``,
+adds them in one pass into the sorted rows of the result, holding it and one
+batch: each coefficient is bit for bit the running sum of term-by-term
+accumulation, signed zeros included.  Exact zeros are pruned after every product
+(a product whose sum cancels copies its kept rows once more).  The trace of the
 identity coefficient of x y is read without forming x y, by pairing: the sum,
 from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
 products x y merges there (``ga_product_trace``, with ``product_diagonals``,
 the matrix walk's trace).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
 and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.  At
-p = 0 mod 4, A = B is paired as it is merged, never stored past one batch: the
-norm holds x*, the lower powers of x* x and two merged coefficients at a time.
+p = 0 mod 4, A = B is paired as that merge sums it, never stored past one batch:
+the norm holds x*, the lower powers of x* x and two merged coefficients at a time.
 Rectangular elements (group-algebra flattenings) keep x* x even when wide:
 their bits are pinned to the object-product oracle in the tests.
 
@@ -299,38 +299,26 @@ def _sum_by_label(keys: Sequence[Key], shape, batches) -> tuple[list[Key], np.nd
     """The distinct ``keys``, ascending, and row by row the sum of their rows in ``batches``.
 
     The rows come in consecutive batches, each dropped before the next is
-    formed: the merge holds its result, a spare row and one batch.  A key's
-    first row is copied into its sorted row, with the bits of -0.0 + x, the
-    exact start of a running sum, for every x but NaN (no NaN reaches a
-    report: families refuse non-finite coefficients); its later rows land in
-    the spare row and are added to theirs in place, one by one in order.
+    formed: the merge holds its result and one batch.  Each row is walked once,
+    in order: a key's first row is copied into its sorted row, with the bits of
+    -0.0 + x, the exact start of a running sum, for every x but NaN (no NaN
+    reaches a report: families refuse non-finite coefficients), and its later
+    rows are added there in place.
     """
-    labels: dict[Key, int] = {}  # in order of first occurrence
-    idx = [labels.setdefault(key, len(labels)) for key in keys]
-    unique = list(labels)
-    order = sorted(range(len(unique)), key=unique.__getitem__)
-    count = len(order)
-    rank = dict(zip(order, range(count)))
-    place, later, at, top = [], [], [], -1
-    for i, label in enumerate(idx):
-        if label > top:
-            top = label
-            place.append(rank[label])
-        else:
-            place.append(count)
-            later.append(i)
-            at.append(rank[label])
-    out = np.empty((count + 1,) + tuple(shape), dtype=complex)
-    start = 0
+    unique = sorted(set(keys))
+    row = dict(zip(unique, range(len(unique))))
+    seen = [False] * len(unique)
+    out = np.empty((len(unique),) + tuple(shape), dtype=complex)
+    rest = iter(keys)
     for rows in batches:
-        stop = start + len(rows)
-        out[place[start:stop]] = rows
-        lo, hi = bisect.bisect_left(later, start), bisect.bisect_left(later, stop)
-        for i, r in zip(later[lo:hi], at[lo:hi]):
-            out[r] += rows[i - start]
-        start = stop
-        del rows  # free this batch before the next one is formed
-    return [unique[i] for i in order], out[:-1]
+        for product, key in zip(rows, rest):  # rows first: no key is taken past the batch
+            r = row[key]
+            if seen[r]:
+                out[r] += product
+            else:
+                out[r], seen[r] = product, True
+        rows = product = None  # free this batch before the next one is formed
+    return unique, out
 
 
 def _chained_shape(x: GroupAlgebraElement, y: GroupAlgebraElement) -> tuple[int, int]:
@@ -417,11 +405,12 @@ def ga_product_trace(x: GroupAlgebraElement, y: GroupAlgebraElement) -> complex:
 def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndarray:
     """``_paired_diagonal(h, h)`` of h = a b, without storing h when it takes several batches.
 
-    Each word of h whose inverse is a word of h too is merged with it as
-    ga_multiply merges them (the first product, then the later ones added in
-    pair order); the two are paired by ``product_diagonals`` and dropped, and a
-    word whose sum is exactly zero pairs with nothing, as pruning drops it.  The
-    diagonals are summed from -0.0 in sorted word order.
+    Each word of h whose inverse is a word of h too is merged with it by
+    :func:`_sum_by_label`, its pair products handed over one row at a time in
+    pair order, as ga_multiply merges them; the two are paired by
+    ``product_diagonals`` and dropped, and a word whose sum is exactly zero
+    pairs with nothing, as pruning drops it.  The diagonals are summed from -0.0
+    in sorted word order.
     """
     shape = _chained_shape(a, b)
     if len(a.keys) * len(b.keys) * shape[0] * shape[1] <= _BATCH:  # h is one batch
@@ -430,11 +419,11 @@ def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndar
     pairs: dict[Key, list[tuple[int, int]]] = {}
     for (i, u), (j, v) in itertools.product(enumerate(a.keys), enumerate(b.keys)):
         pairs.setdefault(tuple(map(code_multiply, u, v)), []).append((i, j))
-    products = lambda w: (a.coeffs[i] @ b.coeffs[j] for i, j in pairs[w])
+    products = lambda w: ((a.coeffs[i] @ b.coeffs[j])[None] for i, j in pairs[w])
     diagonals: dict[Key, np.ndarray] = {}
 
     def pair(words: tuple[Key, ...]) -> None:
-        coeffs = [functools.reduce(operator.iadd, products(w)) for w in words]
+        coeffs = [_sum_by_label([w] * len(pairs[w]), shape, products(w))[1][0] for w in words]
         if all(c.any() for c in coeffs):
             for w, c, partner in zip(words, coeffs, coeffs[::-1]):
                 diagonals[w] = product_diagonals(c, partner)[0]
@@ -452,8 +441,9 @@ def _gram_power_diagonal(x: GroupAlgebraElement, p: int, budget: int) -> np.ndar
 
     With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), it is
     :func:`_paired_diagonal` of A and B; for k = 1 of x* and x.  At even k, A = B is
-    paired as it is merged (:func:`_squared_diagonal`), never stored past one batch:
-    a norm holds x*, the powers of x* x below A, and two merged coefficients.
+    paired as it is merged (:func:`_squared_diagonal`, through the one merge
+    :func:`_sum_by_label`), never stored past one batch: a norm holds x*, the powers
+    of x* x below A, and two merged coefficients.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)

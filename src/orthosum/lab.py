@@ -478,7 +478,7 @@ def phi_r_bound_check(
     check_even_p(p)
     if d < 1 or not 0 <= r <= p:
         raise ValueError(f"bad (d, r) = ({d}, {r})")
-    check_budget(bell(p), budget, "partition-tuple enumeration", d)
+    check_budget(bell(p) - 1, budget, "partition-tuple enumeration", d)
     parts = [s for s in all_partitions(p) if s.num_blocks < p]
     zero = SetPartition.singletons(p)
     absmu = {s: abs(mobius(zero, s)) for s in parts}

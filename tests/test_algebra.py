@@ -272,6 +272,16 @@ def test_ga_multiply_requires_matching_parameters():
         ga_multiply(lam(1), ga_monomial(1, 2, [Word()], np.eye(2)))
 
 
+def test_a_rectangular_element_has_no_coeff_dim_and_a_rectangular_product_no_trace():
+    e = WordTuple((Word(),))
+    x = GroupAlgebraElement.build(1, 1, (1, 2), {e: [[1.0, 2.0]]})
+    y = GroupAlgebraElement.build(1, 1, (2, 3), {e: np.ones((2, 3))})
+    with pytest.raises(ValueError, match="coefficients are rectangular"):
+        x.coeff_dim
+    with pytest.raises(ValueError, match="trace of a rectangular element"):
+        ga_product_trace(x, y)
+
+
 def test_ga_adjoint_involution_and_antihomomorphism():
     r = rng(5)
     x = ga_monomial(1, 2, [Word(((1, 1),))], rand_matrix(r, 2)) + ga_monomial(

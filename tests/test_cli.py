@@ -117,6 +117,37 @@ def test_a_failed_dissociate_construction_names_its_witness(tmp_path, capsys):
     )
 
 
+def _term(words, dim=1):
+    return {"words": words, "coeff": {"dim": dim, "entries": [[1.0, 0.0]] * dim * dim}}
+
+
+@pytest.mark.parametrize(
+    "terms,fault",
+    [
+        ([_term(["g1", "g1"])], "word tuple arity 2 != 1"),
+        ([_term(["g3"])], "word tuple uses generator beyond 2"),
+        ([_term(["g1"]), _term(["g2"], dim=2)], "coefficient shape (1, 1) != (2, 2)"),
+    ],
+    ids=["word-count-not-arity", "generator-beyond-n", "coefficient-dims-differ"],
+)
+def test_a_family_file_term_fault_exits_2_and_names_it(tmp_path, capsys, terms, fault):
+    element = {"arity": 1, "n": 2, "terms": terms}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"n": 1, "d": 1, "values": {"1": element}}))
+    spec = spec_file(tmp_path, kind="file", n=1, d=1, p=2, path=str(path))
+    code, out, err = run(capsys, "ortho", "--spec", spec)
+    assert (code, out, err) == (2, "", f"error: {fault}\n")
+
+
+def test_a_word_family_file_off_the_spec_grid_exits_2_and_names_it(tmp_path, capsys):
+    words = tmp_path / "words.json"
+    words.write_text(json.dumps({"1": "g1", "2": "g2", "3": "g3"}))
+    spec = spec_file(tmp_path, kind="dissociate", n=2, d=1, p=2, path=str(words))
+    code, out, err = run(capsys, "inequality", "--spec", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: word family index grid does not match the spec\n"
+
+
 def test_ortho_seed_override(tmp_path, capsys):
     spec = spec_file(tmp_path, kind="rademacher", n=2, d=1, p=4, dim=1, seed=3)
     code, out, _ = run(capsys, "ortho", "--spec", spec, "--seed", "99")

@@ -86,16 +86,20 @@ grid_key = st.lists(st.integers(1, 2), min_size=1, max_size=2).map(lambda g: ","
 bad_key = st.sampled_from(["1500,1500", "0", "-1", "1,x", "", "9" * 30])
 
 
+MIXED_KINDS = [[matrix, element], [element, matrix]]
+
+
 @st.composite
-def family_file(draw):
+def family_file(draw, mixed=False):
     """Two times in three well-formed values of one dim on the grid keys: matrices,
-    elements, or the two in turn (mixed kinds, which a family file refuses)."""
-    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    elements, or the two in turn (mixed kinds, which a family file refuses).  With
+    ``mixed``, always the two in turn, on a grid of at least two keys."""
+    n, d = draw(st.integers(2 if mixed else 1, 2)), draw(st.integers(1, 2))
     keys = [",".join(map(str, g)) for g in oracle.grid(n, d)]
-    well_formed = draw(st.integers(0, 2)) < 2
+    well_formed = mixed or draw(st.integers(0, 2)) < 2
     if well_formed:
         dim = draw(st.integers(1, 2))
-        kinds = draw(st.sampled_from([[matrix], [element], [matrix, element], [element, matrix]]))
+        kinds = draw(st.sampled_from(MIXED_KINDS if mixed else [[matrix], [element]] + MIXED_KINDS))
         values = {k: draw(kinds[i % len(kinds)](dim, well_formed=True)) for i, k in enumerate(keys)}
         return {"n": n, "d": d, "values": values}
     if draw(st.booleans()):
@@ -147,6 +151,9 @@ def invocation(draw):
     }
     command = draw(st.sampled_from(FAMILY_COMMANDS + ("dissociate", "mobius", "sublemma")))
     if command in FAMILY_COMMANDS:
+        if draw(st.integers(0, 5)) == 5:  # a well-formed file spec on a mixed-kind family file
+            files["family.json"] = draw(family_file(mixed=True))
+            files["spec.json"] = {"kind": "file", "path": "family.json", "p": draw(st.sampled_from([2, 4]))}
         argv = [command, "--spec", "spec.json"]
         if command != "khintchine" and draw(st.integers(0, 2)) == 2:
             argv += ["--p", str(draw(small_p | extreme_int))]

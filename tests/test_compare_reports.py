@@ -223,3 +223,21 @@ def test_the_inequality_list_covers_each_benchmark_kind_and_p_8(extra_records):
         assert (r["rc"], report["command"]) == (0, "inequality"), r["spec"]
         assert all(a["ok"] for a in report["assertions"]), r["spec"]
     assert differences(records, records) == []
+
+
+def test_the_multi_batch_list_merges_a_product_over_several_batches(monkeypatch):
+    from orthosum import algebra, lab
+
+    (spec,) = compare_reports.MULTI_BATCH_SPECS
+    x = lab._lambda_tensor_element(lab.make_family(lab.FamilySpec.from_json(spec)))
+    merged, real = [], algebra._sum_by_label
+
+    def counted(keys, shape, batches):
+        batches = list(batches)
+        merged.append(len(batches))
+        return real(keys, shape, batches)
+
+    monkeypatch.setattr(algebra, "_sum_by_label", counted)
+    gram = algebra.ga_multiply(algebra.ga_adjoint(x), x)  # B's gram, as the report forms it
+    assert (x.term_count, x.coeff_shape, gram.term_count) == (5, (64, 64), 21)
+    assert merged and max(merged) > 1, merged

@@ -169,6 +169,12 @@ def test_canonical_dissociate_examples():
     assert fam.words == {(1, 1, 1): Word(((1, 1), (1, 1), (1, 1)))}
 
 
+@pytest.mark.parametrize("n,d", [(0, 1), (1, 0)])
+def test_canonical_dissociate_refuses_an_empty_grid(n, d):
+    with pytest.raises(ValueError, match="n and d must be positive"):
+        canonical_dissociate(n, d)
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
 @pytest.mark.parametrize("p", [2, 4, 6])
 def test_canonical_families_are_dissociate(n, d, p):

@@ -205,6 +205,12 @@ def test_main_inequality_rejects_non_orthogonal_input():
     assert err.value.report.worst_h is not None
 
 
+def test_main_inequality_of_the_zero_family_has_ratio_zero():
+    fam = OperatorFamily(2, 1, MATRIX, {(1,): np.zeros((2, 2)), (2,): np.zeros((2, 2))})
+    report = main_inequality_report(fam, 4)
+    assert (report.quantities.A, report.quantities.C, report.ratio) == (0.0, 0.0, 0.0)
+
+
 # --- iteration sandwich ------------------------------------------------------
 
 
@@ -278,6 +284,11 @@ def test_absorption_rejects_non_unitary():
         absorption_check(a, [np.diag([1.0, 2.0])], 2)
 
 
+def test_absorption_refuses_an_empty_coefficient_map():
+    with pytest.raises(ValueError, match="empty coefficient map"):
+        absorption_check({}, random_unitaries(make_rng(1), 2, 2), 4)
+
+
 # --- scalar root bound --------------------------------------------------------
 
 
@@ -337,6 +348,20 @@ def test_phi_r_budget_is_charged_before_any_partition_is_built(monkeypatch):
     with pytest.raises(SizeLimitError, match="partition-tuple"):
         phi_r_bound_check(10, 1, 0, budget=1)
     assert built == []
+
+
+@pytest.mark.parametrize("d,r", [(0, 0), (1, 5)])
+def test_phi_r_refuses_no_coordinates_or_more_common_singletons_than_points(d, r):
+    with pytest.raises(ValueError, match=r"bad \(d, r\) = "):
+        phi_r_bound_check(4, d, r)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_phi_r_budget_charges_the_tuples_it_enumerates(d):
+    # bell(4) = 15 partitions, 14 above the singletons: 14^d tuples are walked
+    assert phi_r_bound_check(4, d, 0, budget=14**d).ok
+    with pytest.raises(SizeLimitError, match=f"needs {14**d} items"):
+        phi_r_bound_check(4, d, 0, budget=14**d - 1)
 
 
 # --- dissociate equivalence and the commutative remark -------------------------

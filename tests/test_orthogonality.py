@@ -136,6 +136,11 @@ def test_sigma_of_examples():
         sigma_of(h, 3)
 
 
+def test_sigma_of_refuses_an_empty_index_function():
+    with pytest.raises(ValueError, match="empty index function"):
+        sigma_of([], 1)
+
+
 def test_is_p_orthogonal_free_generators():
     fam = make_family(FamilySpec("free_generators", n=2, d=2, p=4))
     report = is_p_orthogonal(fam, 4, 0.0)

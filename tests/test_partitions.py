@@ -18,6 +18,7 @@ from orthosum.partitions import (
     all_partitions,
     bell,
     format_partition,
+    interval,
     kernel_code,
     kernel_partition,
     mobius,
@@ -95,6 +96,18 @@ def test_invalid_blocks_rejected():
         SetPartition(3, ((1, 2), (2, 3)))  # overlap
     with pytest.raises(ValueError):
         SetPartition(2, ((1,), (), (2,)))  # empty block
+
+
+def test_blocks_out_of_canonical_order_are_refused_by_name():
+    with pytest.raises(ValueError, match="canonical order"):
+        SetPartition(3, ((2,), (1, 3)))  # least elements descend
+    with pytest.raises(ValueError, match="canonical order"):
+        SetPartition(3, ((3, 1), (2,)))  # a block descends
+
+
+def test_interval_refuses_a_pair_out_of_refinement_order():
+    with pytest.raises(ValueError, match="interval requires rho <= sigma"):
+        interval(SetPartition.one_block(3), SetPartition.singletons(3))
 
 
 def test_refines_trivial_cases():

@@ -15,10 +15,12 @@ the benchmark's ``factorize`` workload does not reach; and ``DECOMPOSE_SPECS``,
 under ``decompose_dims``, moment tables at member sides, in runs and at odd d
 the benchmark's ``decompose`` (d = 2, p = 6 at side 3, one run) does not
 reach; and ``INEQUALITY_SPECS``, under ``inequality_kinds``, one main-estimate
-report per benchmark kind at p = 4 and one at p = 8, at fixed seeds; and the
-word files, which no benchmark report parses: ``FILE_SPECS``,
-group-algebra family files of multi-term, unreduced and cancelling words,
-under ``file_ortho``, ``file_decompose`` and ``file_inequality``, and
+report per benchmark kind at p = 4 and one at p = 8, at fixed seeds; and
+``MULTI_BATCH_SPECS``, under ``inequality_batches``, a report whose products
+merge over several batches, which no benchmark report does; and the word
+files, which no benchmark report parses: ``FILE_SPECS``, group-algebra
+family files of multi-term, unreduced and cancelling words, under
+``file_ortho``, ``file_decompose`` and ``file_inequality``, and
 ``WORD_FILE_SPECS``, word-family files of unreduced words, under
 ``file_dissociate``.  A spec's ``family`` is written to a file of its own: the
 spec file names it as ``path``, or ``dissociate --family`` reads it.
@@ -138,6 +140,13 @@ INEQUALITY_SPECS = [
     {"kind": "martingale_rademacher", "n": 4, "d": 1, "p": 8, "dim": 2, "seed": 41},
 ]
 
+#: ``inequality`` reports whose products merge over several batches: B's gram
+#: of martingale n = 5, 25 products of 64 x 64 coefficients, takes two, so a
+#: merge that misplaces a row across a batch boundary moves B.
+MULTI_BATCH_SPECS = [
+    {"kind": "martingale_rademacher", "n": 5, "d": 1, "p": 8, "dim": 2, "seed": 1},
+]
+
 
 def _term(words: list[str], *entries: tuple[float, float]) -> dict:
     """A group-algebra term: one word per factor and a coefficient of [re, im] entries."""
@@ -193,6 +202,7 @@ EXTRA_REPORTS = {
     "factorize_all": ("factorize", FACTORIZE_SPECS),
     "decompose_dims": ("decompose", DECOMPOSE_SPECS),
     "inequality_kinds": ("inequality", INEQUALITY_SPECS),
+    "inequality_batches": ("inequality", MULTI_BATCH_SPECS),
     "file_ortho": ("ortho", FILE_SPECS),
     "file_decompose": ("decompose", FILE_SPECS),
     "file_inequality": ("inequality", FILE_SPECS),
