@@ -407,7 +407,8 @@ def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndar
 
     Each word of h whose inverse is a word of h too is merged with it by
     :func:`_sum_by_label`, its pair products handed over one row at a time in
-    pair order, as ga_multiply merges them; the two are paired by
+    pair order, as ga_multiply merges them (a word with one pair product takes
+    it as it stands, the merge's verbatim copy); the two are paired by
     ``product_diagonals`` and dropped, and a word whose sum is exactly zero
     pairs with nothing, as pruning drops it.  The diagonals are summed from -0.0
     in sorted word order.
@@ -420,10 +421,13 @@ def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndar
     for (i, u), (j, v) in itertools.product(enumerate(a.keys), enumerate(b.keys)):
         pairs.setdefault(tuple(map(code_multiply, u, v)), []).append((i, j))
     products = lambda w: ((a.coeffs[i] @ b.coeffs[j])[None] for i, j in pairs[w])
+    # a lone product is its word's sum as it stands: the merge would copy it verbatim
+    merged = lambda w: _sum_by_label([w] * len(pairs[w]), shape, products(w))[1][0]
+    coeff = lambda w: next(products(w))[0] if len(pairs[w]) == 1 else merged(w)
     diagonals: dict[Key, np.ndarray] = {}
 
     def pair(words: tuple[Key, ...]) -> None:
-        coeffs = [_sum_by_label([w] * len(pairs[w]), shape, products(w))[1][0] for w in words]
+        coeffs = list(map(coeff, words))
         if all(c.any() for c in coeffs):
             for w, c, partner in zip(words, coeffs, coeffs[::-1]):
                 diagonals[w] = product_diagonals(c, partner)[0]

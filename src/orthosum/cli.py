@@ -33,6 +33,7 @@ from .partitions import (
     SetPartition,
     all_partitions,
     bell,
+    format_partition,
     parse_partition,
     verify_mobius_identities,
 )
@@ -191,14 +192,21 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
         check_budget(bell(spec.p) - 1, args.budget, "partition-tuple enumeration", fam.d)
         parts = [s for s in all_partitions(spec.p) if s.num_blocks < spec.p]
         tuples = list(product(parts, repeat=fam.d))
-    max_err = 0.0
-    all_holder = True
-    max_bd_rel = 0.0
+    # each witness names its partition tuple as --sigmas takes it: the largest
+    # error's first tuple, and the first tuple that fails Hoelder
+    named = lambda sig, **err: {"sigmas": [format_partition(s) for s in sig], **err}
+    max_err = max_bd_rel = 0.0
+    err_witness = bd_witness = holder_witness = None
     for sig in tuples:
         norms = factorization.factor_norm_report(fam, sig, spec.p, args.budget, table)
-        max_err = max(max_err, norms.check.abs_err)
-        all_holder = all_holder and norms.holder_ok
-        max_bd_rel = max(max_bd_rel, norms.bd_max_rel_err)
+        if norms.check.abs_err > max_err:
+            max_err = norms.check.abs_err
+            err_witness = named(sig, abs_err=max_err)
+        if norms.bd_max_rel_err > max_bd_rel:
+            max_bd_rel = norms.bd_max_rel_err
+            bd_witness = named(sig, rel_err=max_bd_rel)
+        if holder_witness is None and not norms.holder_ok:
+            holder_witness = named(sig, psi_abs=norms.psi_abs, norms_product=norms.norms_product)
     results = {
         "tuples_checked": len(tuples),
         "max_abs_err": max_err,
@@ -206,9 +214,9 @@ def _cmd_factorize(args) -> tuple[dict, list[dict], int | None]:
         "scale": scale,
     }
     assertions = [
-        _assertion("factorization_identity", max_err <= 1e-8 * scale, max_err),
-        _assertion("common_singleton_norm_equality", max_bd_rel <= 1e-10, max_bd_rel),
-        _assertion("holder_bound", all_holder),
+        _assertion("factorization_identity", max_err <= 1e-8 * scale, err_witness),
+        _assertion("common_singleton_norm_equality", max_bd_rel <= 1e-10, bd_witness),
+        _assertion("holder_bound", holder_witness is None, holder_witness),
     ]
     return results, assertions, spec.seed
 

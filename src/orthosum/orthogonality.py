@@ -12,10 +12,12 @@ every h that extends it, a run of matrix products stacked as rows in one
 matmul per factor; the last product it only traces, summing the diagonals of
 fewer than 4 entries across moments from +0, the bits of numpy's ``.sum(-1)``.
 ``MomentTable`` walks every h and ``is_p_orthogonal`` only the prefixes that
-still have an injective coordinate; each checks p and charges the n^(dp) index
-functions, and the (largest member term count)^p words a group-algebra product
-can grow to, to the budget before it walks (``freegroup.is_p_dissociate`` does
-the same before it builds the unit monomials it hands to ``is_p_orthogonal``).
+still have an injective coordinate, forming a prefix's product only when it
+walks that prefix, so it holds one product per open prefix.  Each checks p and
+charges the n^(dp) index functions, and the (largest member term count)^p
+words a group-algebra product can grow to, to the budget before it walks
+(``freegroup.is_p_dissociate`` does the same before it builds the unit
+monomials it hands to ``is_p_orthogonal``).
 ``alternating_moment`` walks a single h.  The kernel labels of h, the
 restricted growth strings of its d coordinates, depend on (n, d, p) only, so
 ``MomentTable``, once it has also charged the p products of each h (its walk's
@@ -150,7 +152,10 @@ def _prefix_walk(
     With ``keep=None`` every h is walked, a run broadcast over the completions
     of one prefix (h None) within _BLOCK coefficient entries; otherwise only
     the prefixes ``keep`` accepts are grown, one at a time, and ``keep`` must
-    reject every extension of a prefix it rejects.  A non-finite moment raises
+    reject every extension of a prefix it rejects; a grown prefix's product,
+    its parent's times the row ``factors[t][j : j + 1]``, is formed only when it
+    is popped, so the walk holds one product per open prefix and gathers live
+    rows for the last, traced factor only.  A non-finite moment raises
     ValueError naming h.
     """
     gammas = f.gammas()
@@ -175,11 +180,13 @@ def _prefix_walk(
     factors = (adj, values)
 
     def runs() -> Iterator:
-        # depth first over (product of prefix as a stack of one or None, prefix); not
-        # recursive, so no closure cycle keeps the factor stacks alive afterwards
-        stack: list = [(None, ())]
+        # depth first over (parent's product or None, last factor's row or None, prefix);
+        # not recursive, so no closure cycle keeps the factor stacks alive afterwards
+        stack: list = [(None, None, ())]
         while stack:
-            acc, prefix = stack.pop()
+            acc, row, prefix = stack.pop()
+            if row is not None:  # formed only now that this prefix is walked
+                acc = row if acc is None else mul(acc, row)
             s = len(prefix)
             hs = None
             if keep is None and k ** (p - s) * entries <= _BLOCK:
@@ -191,15 +198,12 @@ def _prefix_walk(
                 children = [
                     j for j, g in enumerate(gammas) if keep is None or keep(prefix + (g,))
                 ]
-                rows = factors[s % 2] if len(children) == k else factors[s % 2][children]
                 hs = [prefix + (gammas[j],) for j in children]
+                rows = factors[s % 2]
                 if s + 1 < p:
-                    acc = rows if acc is None else mul(acc, rows)
-                    del rows  # before the next prefix gathers its own
-                    stack += reversed([(acc[i : i + 1], h) for i, h in enumerate(hs)])
+                    stack += reversed([(acc, rows[j : j + 1], h) for j, h in zip(children, hs)])
                     continue
-                moments = last(acc, rows)
-                del rows
+                moments = last(acc, rows if len(children) == k else rows[children])
             finite = np.isfinite(moments)
             if not finite.all():
                 r = int(finite.argmin())

@@ -187,6 +187,42 @@ def test_factorize_with_sigmas_file(tmp_path, capsys):
     assert json.loads(out)["results"]["tuples_checked"] == 1
 
 
+def test_factorize_witnesses_name_their_partition_tuple(tmp_path, capsys, monkeypatch):
+    """Hoelder names the first tuple that fails, the other two the tuple of largest error."""
+    from orthosum import factorization
+
+    # culprits of the enumeration: the 2nd tuple, its factor norms 0 and its psi off by 1;
+    # the 10th, its norms tripled (relative error 2 against 1) and its psi off by 2
+    norm_scale = {"1|2,4|3": 0.0, "1,2|3|4": 3.0}
+    psi_shift = {"1|2,4|3": 1.0, "1,2|3|4": 2.0}
+    real_report, norm, psi = (
+        factorization.factor_norm_report, factorization.ga_even_norm, factorization.psi
+    )
+    current = []
+
+    def spied_report(fam, sig, *args):
+        current[:] = [str(sig[0])]
+        return real_report(fam, sig, *args)
+
+    monkeypatch.setattr(factorization, "factor_norm_report", spied_report)
+    monkeypatch.setattr(
+        factorization, "ga_even_norm", lambda *a: norm_scale.get(current[0], 1.0) * norm(*a)
+    )
+    monkeypatch.setattr(factorization, "psi", lambda *a: psi(*a) + psi_shift.get(current[0], 0.0))
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=1, p=4, dim=2, seed=13)
+    code, out, _ = run(capsys, "factorize", "--spec", spec)
+    assert code == 1
+    report = json.loads(out)
+    witnesses = {a["name"]: a["witness"] for a in report["assertions"]}
+    assert witnesses["holder_bound"]["sigmas"] == ["1|2,4|3"]
+    assert witnesses["holder_bound"]["norms_product"] == 0.0
+    assert witnesses["common_singleton_norm_equality"]["sigmas"] == ["1,2|3|4"]
+    assert witnesses["common_singleton_norm_equality"]["rel_err"] == pytest.approx(2.0)
+    assert witnesses["factorization_identity"]["sigmas"] == ["1,2|3|4"]
+    assert witnesses["factorization_identity"]["abs_err"] == pytest.approx(2.0)
+    assert report["results"]["max_abs_err"] == witnesses["factorization_identity"]["abs_err"]
+
+
 def test_factorize_rejects_group_algebra_specs(tmp_path, capsys):
     spec = spec_file(tmp_path, kind="free_generators", n=2, d=1, p=2)
     code, _, err = run(capsys, "factorize", "--spec", spec)

@@ -829,3 +829,22 @@ def test_the_pruned_walk_holds_one_gather_and_no_copy_of_a_full_factor_stack():
     assert report.count_checked == 6 * 5 * 4 * 3
     # the adjoint stack, the products of each level and one gather of live rows
     assert peak <= 3.5 * fam.members.nbytes, (peak, fam.members.nbytes)
+
+
+def test_the_pruned_walk_holds_one_product_per_open_prefix():
+    import tracemalloc
+
+    # six members of side 128: a product is 256 KiB, a factor stack 1.5 MiB
+    fam = make_family(FamilySpec("martingale_rademacher", n=6, d=1, p=4, dim=2, seed=1))
+    tracemalloc.start()
+    try:
+        report = is_p_orthogonal(fam, 4, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.count_checked == 6 * 5 * 4 * 3
+    # the adjoint stack, the products of the open prefixes of length 2 and 3, and
+    # the last factor's gather of 3 live rows with its traced blocks (2.04 times the
+    # members); a walk that forms all children's products of a prefix when it pushes
+    # them holds a stack of them per level, about 3.3 times the members
+    assert peak <= 2.25 * fam.members.nbytes, (peak, fam.members.nbytes)
