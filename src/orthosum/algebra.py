@@ -23,10 +23,11 @@ from -0.0 in x's sorted word order, of the diagonals of X_w Y_(w^-1), the
 products x y merges there (``ga_product_trace``, with ``product_diagonals``,
 the matrix walk's trace).  Even-p norms pair the half powers A = (x* x)^floor(p/4)
 and B = (x* x)^ceil(p/4) (x* and x at p = 2), exact up to float rounding.  At
-p = 0 mod 4, A = B is paired as that merge sums it, never stored past one batch:
-the norm holds x*, the lower powers of x* x and two merged coefficients at a time.
-Rectangular elements (group-algebra flattenings) keep x* x even when wide:
-their bits are pinned to the object-product oracle in the tests.
+p = 0 mod 4, A = B is formed if it fits one batch (``factorize``'s small factors), else
+paired as that merge sums it and never stored (``inequality``'s B): the input size picks
+the faster side for each; the norm holds x*, the lower powers of x* x and two merged
+coefficients at a time.  Rectangular elements (group-algebra flattenings) keep x* x
+even when wide: their bits are pinned to the object-product oracle in the tests.
 
 A family holds its ``members`` once, in the lexicographic order of [n]^d (a
 matrix family as one read-only stack, viewed by ``values`` in the caller's key
@@ -364,6 +365,11 @@ def ga_adjoint(x: GroupAlgebraElement) -> GroupAlgebraElement:
     )
 
 
+def _running_sum(start, rows: np.ndarray) -> np.ndarray:
+    """start + rows[0] + rows[1] + ..., one addition at a time along axis 0, in order."""
+    return np.add.accumulate(np.concatenate([[start], rows]), axis=0)[-1]
+
+
 def _paired_diagonal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarray:
     """Diagonal of the coefficient at the identity of x y, without forming x y.
 
@@ -384,8 +390,7 @@ def _paired_diagonal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> np.ndarr
     step = max(1, _BATCH // (r * c))
     for i in range(0, len(a), step):
         diags = product_diagonals(x.coeffs[a[i : i + step]], y.coeffs[b[i : i + step]])[:, 0]
-        diags[0] += acc  # acc + diag(X_w Y_(w^-1)), in one running sum
-        acc = np.add.accumulate(diags, axis=0)[-1]
+        acc = _running_sum(acc, diags)
     return acc
 
 
@@ -402,16 +407,23 @@ def ga_product_trace(x: GroupAlgebraElement, y: GroupAlgebraElement) -> complex:
     return complex(diagonal.sum() / len(diagonal)) if diagonal.any() else 0j
 
 
+def _merged(a: GroupAlgebraElement, b: GroupAlgebraElement, pairs: list[tuple[int, int]]):
+    """The coefficient of a b that ga_multiply merges from the pair products ``pairs`` (i, j)."""
+    products = ((a.coeffs[i] @ b.coeffs[j])[None] for i, j in pairs)  # one row at a time
+    if len(pairs) == 1:  # a lone product is its word's sum as it stands: the merge copies it
+        return next(products)[0]
+    return _sum_by_label([0] * len(pairs), (a.coeff_shape[0], b.coeff_shape[1]), products)[1][0]
+
+
 def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndarray:
     """``_paired_diagonal(h, h)`` of h = a b, without storing h when it takes several batches.
 
-    Each word of h whose inverse is a word of h too is merged with it by
-    :func:`_sum_by_label`, its pair products handed over one row at a time in
-    pair order, as ga_multiply merges them (a word with one pair product takes
-    it as it stands, the merge's verbatim copy); the two are paired by
-    ``product_diagonals`` and dropped, and a word whose sum is exactly zero
-    pairs with nothing, as pruning drops it.  The diagonals are summed from -0.0
-    in sorted word order.
+    Both sides of the size switch stay on purpose: the input size picks the side, each
+    the faster one on a benchmark workload that runs it.  An h of one batch is formed by
+    ga_multiply and paired (``factorize``'s many-term 2 x 2 factor norms).  Past one
+    batch each word of h and its inverse are merged (:func:`_merged`), paired by
+    ``product_diagonals`` and dropped (B of ``inequality``'s martingale families); a
+    word whose sum is exactly zero pairs with nothing, as pruning drops it.
     """
     shape = _chained_shape(a, b)
     if len(a.keys) * len(b.keys) * shape[0] * shape[1] <= _BATCH:  # h is one batch
@@ -420,47 +432,38 @@ def _squared_diagonal(a: GroupAlgebraElement, b: GroupAlgebraElement) -> np.ndar
     pairs: dict[Key, list[tuple[int, int]]] = {}
     for (i, u), (j, v) in itertools.product(enumerate(a.keys), enumerate(b.keys)):
         pairs.setdefault(tuple(map(code_multiply, u, v)), []).append((i, j))
-    products = lambda w: ((a.coeffs[i] @ b.coeffs[j])[None] for i, j in pairs[w])
-    # a lone product is its word's sum as it stands: the merge would copy it verbatim
-    merged = lambda w: _sum_by_label([w] * len(pairs[w]), shape, products(w))[1][0]
-    coeff = lambda w: next(products(w))[0] if len(pairs[w]) == 1 else merged(w)
     diagonals: dict[Key, np.ndarray] = {}
-
-    def pair(words: tuple[Key, ...]) -> None:
-        coeffs = list(map(coeff, words))
-        if all(c.any() for c in coeffs):
-            for w, c, partner in zip(words, coeffs, coeffs[::-1]):
-                diagonals[w] = product_diagonals(c, partner)[0]
-
     for key in pairs:
         inverse = tuple(map(code_inverse, key))
         if key <= inverse and inverse in pairs:  # each pair once, from its lesser word
-            pair((key,) if key == inverse else (key, inverse))
-    start = np.full(shape[0], complex(-0.0, -0.0))
-    return functools.reduce(operator.add, map(diagonals.get, sorted(diagonals)), start)
+            words = (key,) if key == inverse else (key, inverse)
+            coeffs = [_merged(a, b, pairs[w]) for w in words]
+            if all(c.any() for c in coeffs):  # each diagonal a (1, N) row of ``rows``
+                diagonals.update(zip(words, map(product_diagonals, coeffs, coeffs[::-1])))
+            coeffs = None  # drop both before the next word is merged: two at a time
+    rows = np.array([diagonals[w] for w in sorted(diagonals)]).reshape(-1, shape[0])
+    return _running_sum(np.full(shape[0], complex(-0.0, -0.0)), rows)
 
 
 def _gram_power_diagonal(x: GroupAlgebraElement, p: int, budget: int) -> np.ndarray:
     """Diagonal of the coefficient at the identity of (x* x)^(p/2), by half-power pairing.
 
     With k = p/2, A = (x* x)^floor(k/2) and B = (x* x)^ceil(k/2), it is
-    :func:`_paired_diagonal` of A and B; for k = 1 of x* and x.  At even k, A = B is
-    paired as it is merged (:func:`_squared_diagonal`, through the one merge
-    :func:`_sum_by_label`), never stored past one batch: a norm holds x*, the powers
-    of x* x below A, and two merged coefficients.
+    :func:`_paired_diagonal` of A and B (x* and x at k = 1).  At even k, A = B is paired
+    by :func:`_squared_diagonal` from its last factors a b (x* and x at k = 2), never
+    stored past one batch.
     """
     check_even_p(p)
     check_budget(max(x.term_count, 1), budget, "even-norm word expansion", p)
     check_budget(p // 2, budget, "even-norm products")
     k = p // 2
-    if k <= 2:
-        return (_paired_diagonal if k == 1 else _squared_diagonal)(ga_adjoint(x), x)
-    half = gram = ga_multiply(ga_adjoint(x), x)
-    for _ in range((k - 1) // 2 - 1):
-        half = ga_multiply(half, gram)  # (x* x)^((k - 1) // 2)
-    if k % 2:
-        return _paired_diagonal(half, ga_multiply(half, gram))
-    return _squared_diagonal(half, gram)
+    a, b = ga_adjoint(x), x
+    if k > 2:
+        a = gram = ga_multiply(a, b)
+        for _ in range((k - 1) // 2 - 1):
+            a = ga_multiply(a, gram)  # (x* x)^((k - 1) // 2)
+        b = ga_multiply(a, gram) if k % 2 else gram
+    return (_paired_diagonal if k % 2 else _squared_diagonal)(a, b)
 
 
 def ga_even_norm(x: GroupAlgebraElement, p: int, budget: int = DEFAULT_BUDGET) -> float:

@@ -58,15 +58,15 @@ def _assertion(name: str, ok: bool, witness: Any = None) -> dict:
     return out
 
 
-def _flatten_for_csv(prefix: str, value: Any, rows: list[tuple[str, str, str]]) -> None:
+def _flatten_for_csv(section: str, prefix: str, value: Any, rows: list[tuple[str, str, str]]):
     if isinstance(value, dict):
         for k, v in value.items():
-            _flatten_for_csv(f"{prefix}.{k}" if prefix else str(k), v, rows)
+            _flatten_for_csv(section, f"{prefix}.{k}" if prefix else str(k), v, rows)
     elif isinstance(value, (list, tuple)):
         for i, v in enumerate(value):
-            _flatten_for_csv(f"{prefix}[{i}]", v, rows)
+            _flatten_for_csv(section, f"{prefix}[{i}]", v, rows)
     else:
-        rows.append(("result", prefix, str(value)))
+        rows.append((section, prefix, str(value)))
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -78,9 +78,10 @@ def _render(report: dict, fmt: str) -> str:
     rows.append(("meta", "seed", "" if report["seed"] is None else str(report["seed"])))
     for key, value in report["params"].items():
         rows.append(("param", key, str(value)))
-    _flatten_for_csv("", report["results"], rows)
+    _flatten_for_csv("result", "", report["results"], rows)
     for item in report["assertions"]:
         rows.append(("assertion", item["name"], str(item["ok"]).lower()))
+        _flatten_for_csv("witness", item["name"], item.get("witness", []), rows)  # failed only
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["section", "name", "value"])

@@ -21,10 +21,10 @@ from .algebra import (
     MATRIX,
     GroupAlgebraElement,
     OperatorFamily,
+    family_sum_norm,
     ga_even_norm,
     ga_multiply,
     ga_product_trace,
-    schatten_even_norm,
 )
 from .errors import DEFAULT_BUDGET, KindError, check_budget
 from .freegroup import letter_code
@@ -189,7 +189,7 @@ def factor_norm_report(
         q = sum(s in sigma.singleton_elements() for sigma in sigmas)
         records.append(FactorRecord(s=s, q=q, norm=norm))
         norms_product *= norm
-    sum_norm = schatten_even_norm(f.sum_value(), p)
+    sum_norm = family_sum_norm(f, p, budget)
     errs = (abs(r.norm - sum_norm) for r in records if r.q == len(sigmas))
     bd_rel = max(errs, default=0.0) / max(sum_norm, 1e-300)
     psi_abs = abs(check.psi_factored)

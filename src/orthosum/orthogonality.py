@@ -43,6 +43,7 @@ import numpy as np
 from .algebra import (
     MATRIX,
     OperatorFamily,
+    _running_sum,
     ga_adjoint,
     ga_multiply,
     ga_product_trace,
@@ -246,11 +247,6 @@ def _kernel_labels(
     return labels, injective, kernels, tuple(0 if flag else (-1) ** d for flag in flags)
 
 
-def _running_sum(start: complex, values: np.ndarray) -> complex:
-    """start + values[0] + values[1] + ..., one addition at a time, in order."""
-    return complex(np.add.accumulate(np.append(start, values))[-1])
-
-
 class MomentTable:
     """All alternating moments of a family at fixed p, grouped by kernel tuple.
 
@@ -281,8 +277,8 @@ class MomentTable:
             injective_sum = _running_sum(injective_sum, block[injective[lo:hi]])
             np.add.at(phi, labels[lo:hi], block)
             lo = hi
-        self.total = total
-        self.injective_sum = injective_sum
+        self.total = complex(total)
+        self.injective_sum = complex(injective_sum)
         self._kernels, self._label_sums = kernels, phi.tolist()
 
     @cached_property

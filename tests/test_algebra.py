@@ -818,6 +818,23 @@ def test_an_even_norm_holds_less_than_its_top_power():
     assert repr(norm) == repr(algebra._even_root(_stored_top_power_diagonal(x, 4).sum(), dim, 4))
 
 
+def test_the_streamed_top_power_holds_two_merged_coefficients_at_a_time():
+    dim, r = 64, rng(41)
+    # the element above: x* x streams, its identity word merging six products
+    x = GroupAlgebraElement.build(
+        1, 6, (dim, dim), {_g((i, 1)): rand_matrix(r, dim) for i in range(1, 7)}
+    )
+    adjoint, coefficient = ga_adjoint(x), dim * dim * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        algebra._squared_diagonal(adjoint, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a merged word, its partner's merge (its sum and one product) and 31 diagonals
+    assert peak < 3.5 * coefficient, peak / coefficient
+
+
 def _stored_top_power_diagonal(x, p):
     """Diagonal at the identity of (x* x)^(p/2), p = 4 or 8, from the stored top power h h."""
     a, b = ga_adjoint(x), x
@@ -904,6 +921,32 @@ def test_the_top_power_paired_as_merged_keeps_the_bits_of_the_stored_one(case, b
         assert repr(want.tolist()) == repr([(9 + 0j)])  # e e alone
     if case in ("lone_signed_zero", "no_terms"):  # nothing pairs: the sum is its start
         assert want.size and np.signbit(want.view(float)).all()
+
+
+def test_each_side_of_the_top_power_switch_serves_a_benchmark_shape(monkeypatch):
+    """At p = 4 the top power is formed for ``factorize``'s factors and streamed for B."""
+    from orthosum.factorization import build_factors
+    from orthosum.lab import _lambda_tensor_element
+    from orthosum.partitions import all_partitions
+
+    formed, real = [], algebra.ga_multiply
+    monkeypatch.setattr(algebra, "ga_multiply", lambda x, y: formed.append(1) or real(x, y))
+
+    def top_power_formed(x):
+        formed.clear()
+        ga_even_norm(x, 4)  # at p = 4 only _squared_diagonal may call ga_multiply
+        return formed == [1]
+
+    # the factorize workload's shape: every factor of every tuple, at two seeds
+    parts = [s for s in all_partitions(4) if s.num_blocks < 4]
+    for seed in (1, 2):
+        f = make_family(FamilySpec("random_matrix", n=2, d=2, p=4, dim=2, seed=seed))
+        for sigmas in product(parts, repeat=2):
+            assert all(map(top_power_formed, build_factors(f, sigmas, 4))), (seed, sigmas)
+    # B of the inequality workload's martingale reports, n = 5 (its p50) and n = 6
+    for n in (5, 6):
+        f = make_family(FamilySpec("martingale_rademacher", n=n, d=1, p=4, dim=2, seed=1))
+        assert not top_power_formed(_lambda_tensor_element(f)), n
 
 
 @pytest.mark.parametrize("p", [2, 4, 6])

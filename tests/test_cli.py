@@ -280,6 +280,35 @@ def test_csv_format(capsys):
     assert assertion_rows == [["assertion", "root_bound", "true"]]
 
 
+def test_csv_rows_carry_a_failing_assertions_witness(tmp_path, capsys):
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=1, p=2, dim=2, seed=7)
+    code, out, _ = run(capsys, "ortho", "--spec", spec, "--format", "csv")
+    assert code == 1
+    rows = list(csv.reader(io.StringIO(out)))
+    at = rows.index(["assertion", "p_orthogonal", "false"])
+    assert rows[at + 1 :] == [
+        ["witness", "p_orthogonal[0][0]", "1"],
+        ["witness", "p_orthogonal[1][0]", "2"],
+    ]
+    code, out, _ = run(capsys, "ortho", "--spec", spec, "--tol", "10", "--format", "csv")
+    assert code == 0 and "witness" not in out  # a passing report has no witness rows
+
+
+def test_a_factorize_witness_read_through_csv_names_its_sigmas(tmp_path, capsys, monkeypatch):
+    from orthosum import factorization
+
+    psi = factorization.psi
+    monkeypatch.setattr(factorization, "psi", lambda *a: psi(*a) + 1.0)
+    spec = spec_file(tmp_path, kind="random_matrix", n=2, d=1, p=4, dim=2, seed=13)
+    sig = tmp_path / "sigmas.json"
+    sig.write_text(json.dumps(["1|2,4|3"]))
+    code, out, _ = run(capsys, "factorize", "--spec", spec, "--sigmas", str(sig), "--format", "csv")
+    assert code == 1
+    witness = {r[1]: r[2] for r in csv.reader(io.StringIO(out)) if r[0] == "witness"}
+    assert witness["factorization_identity.sigmas[0]"] == "1|2,4|3"
+    assert float(witness["factorization_identity.abs_err"]) == pytest.approx(1.0)
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "mobius", "--m", "3", "--out", str(target))

@@ -16,8 +16,11 @@ under ``decompose_dims``, moment tables at member sides, in runs and at odd d
 the benchmark's ``decompose`` (d = 2, p = 6 at side 3, one run) does not
 reach; and ``INEQUALITY_SPECS``, under ``inequality_kinds``, one main-estimate
 report per benchmark kind at p = 4 and one at p = 8, at fixed seeds; and
-``MULTI_BATCH_SPECS``, under ``inequality_batches``, a report whose products
-merge over several batches, which no benchmark report does; and the word
+``MULTI_BATCH_SPECS``, under ``inequality_batches``, a martingale report at
+p = 8 whose products merge over several batches (of the benchmark's seed-1
+reports only the five ``martingale_rademacher`` (2, 2, 6) ``inequality``
+reports do: the square of B's gram is 81 products of 32 x 32 in two batches);
+and the word
 files, which no benchmark report parses: ``FILE_SPECS``, group-algebra
 family files of multi-term, unreduced and cancelling words, under
 ``file_ortho``, ``file_decompose`` and ``file_inequality``, and
